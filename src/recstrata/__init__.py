@@ -11,7 +11,7 @@ tests), simulator (closed vs open loop feedback generation), workbench
 
 from .corpus import Dataset, Interaction, LoopKind, Split, binarize, split_holdout
 from .evaluators import EvalReport, holdout_eval, ips_eval, per_stratum_eval, stratified_eval
-from .metrics import MetricSpec, build_ranking, ndcg, rank_all
+from .metrics import MetricSpec, ndcg, rank_all
 from .models import ALGORITHMS, ModelConfig, fit, sweep
 from .propensity import estimate_propensities, fit_gamma
 from .simulator import SimConfig, generate
@@ -32,7 +32,6 @@ __all__ = [
     "Split",
     "assign_strata",
     "binarize",
-    "build_ranking",
     "compare_rankings",
     "estimate_propensities",
     "fit",

@@ -44,21 +44,23 @@ def _resolve(path: str) -> Path:
     return p if p.is_absolute() else _root() / p
 
 
-def _load_dataset(path: str, loop: str = "closed", threshold: int | None = 4,
-                  delimiter: str = ",") -> corpus.Dataset:
+def _load_dataset(path: str) -> corpus.Dataset:
+    """A closed-loop log in canonical form, binarized at the default threshold."""
     with open(_resolve(path), encoding="utf-8") as f:
-        ds = corpus.parse_interactions(
-            f, delimiter=delimiter, loop_kind=corpus.LoopKind(loop)
-        )
-    if threshold is not None:
-        ds = corpus.binarize(ds, threshold)
-    return ds
+        ds = corpus.parse_interactions(f)
+    return corpus.binarize(ds)
 
 
 def _write_dataset(ds: corpus.Dataset, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
         corpus.write_dataset(ds, f)
+
+
+def _config(args) -> dict:
+    """A verb's options for its manifest, without the handler function, whose
+    repr holds a memory address that differs from run to run."""
+    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
 def _summary(ds: corpus.Dataset) -> str:
@@ -80,7 +82,7 @@ def cmd_ingest(args) -> int:
     workbench.write_manifest(
         out.with_suffix(out.suffix + ".manifest.json"),
         command="ingest",
-        config=vars(args),
+        config=_config(args),
         inputs=[_resolve(args.input)],
         artifacts=[out],
     )
@@ -135,7 +137,7 @@ def cmd_propensity(args) -> int:
     workbench.write_manifest(
         out.with_suffix(out.suffix + ".manifest.json"),
         command="propensity",
-        config=vars(args),
+        config=_config(args),
         inputs=[_resolve(args.train)],
         artifacts=[out],
     )
@@ -241,21 +243,10 @@ def cmd_evaluate(args) -> int:
         return EXIT_USAGE
 
     k_values = [int(k) for k in str(args.k).split(",") if k.strip()]
-    records: list[dict] = []
-    for cutoff in _parse_cutoffs(args.cutoffs):
-        spec = MetricSpec(cutoff=cutoff)
-        non_strat = [m for m in methods if m != "stratified"]
-        if non_strat:
-            evaluations = workbench.evaluate_models(
-                trained, split, spec, methods=non_strat, K=k_values[0], propensities=table
-            )
-            records.extend(workbench.report_records(evaluations, baseline=args.baseline))
-        if "stratified" in methods:
-            for k in k_values:
-                evaluations = workbench.evaluate_models(
-                    trained, split, spec, methods=["stratified"], K=k, propensities=table
-                )
-                records.extend(workbench.report_records(evaluations, baseline=args.baseline))
+    records = workbench.evaluate_models(
+        trained, split, [MetricSpec(cutoff=c) for c in _parse_cutoffs(args.cutoffs)],
+        methods=methods, ks=k_values, propensities=table, baseline=args.baseline,
+    )
     out = _resolve(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as f:
@@ -266,7 +257,7 @@ def cmd_evaluate(args) -> int:
     workbench.write_manifest(
         out.with_suffix(out.suffix + ".manifest.json"),
         command="evaluate",
-        config={k: v for k, v in vars(args).items() if k != "func"},
+        config=_config(args),
         inputs=[_resolve(args.train), _resolve(args.test)],
         artifacts=[out],
         seeds=[args.seed],
@@ -294,10 +285,9 @@ def cmd_compare(args) -> int:
         with open(_resolve(path), encoding="utf-8") as f:
             closed_records.extend(workbench.read_records(f))
 
-    cutoffs = sorted({rec.get("cutoff") for rec in closed_records}, key=lambda c: (c is None, c))
     rows = []
     scatter_rows = []
-    for cutoff in cutoffs:
+    for cutoff in workbench.cutoffs_in(closed_records):
         open_scores = _scores_by_model(open_records, args.open_method, cutoff=cutoff)
         base_scores = _scores_by_model(closed_records, args.baseline_method, cutoff=cutoff)
         groups = sorted(
@@ -357,50 +347,17 @@ def cmd_report(args) -> int:
     with open(_resolve(args.report), encoding="utf-8") as f:
         records = workbench.read_records(f)
     workbench.write_table(records, sys.stdout)
-    flagged = _simpson_flags_from_records(records, args.dominant_weight)
+    flagged = workbench.simpson_flags(records, args.dominant_weight)
     for flag in flagged:
         print(
-            f"SIMPSON: holdout prefers {flag['holdout_winner']} but "
+            f"SIMPSON at {MetricSpec(cutoff=flag['cutoff']).label}, K={flag['K']}: "
+            f"holdout prefers {flag['holdout_winner']} but "
             f"{flag['stratum_winner']} wins stratum {flag['stratum']} "
             f"(weight {flag['stratum_weight']:.3f})"
         )
     if not flagged:
         print("no Simpson reversals flagged")
     return EXIT_OK
-
-
-def _simpson_flags_from_records(records: list[dict], dominant_weight: float) -> list[dict]:
-    flags = []
-    cutoffs = {rec.get("cutoff") for rec in records}
-    for cutoff in cutoffs:
-        holdout = _scores_by_model(records, "holdout", cutoff=cutoff)
-        strata_recs = {
-            rec["model"]: rec
-            for rec in records
-            if rec["method"] == "stratified" and rec.get("cutoff") == cutoff
-        }
-        labels = sorted(set(holdout) & set(strata_recs))
-        for a in labels:
-            for b in labels:
-                if a == b or holdout[a] <= holdout[b]:
-                    continue
-                for s, ra in strata_recs[a].get("per_stratum", {}).items():
-                    rb = strata_recs[b]["per_stratum"][s]
-                    if (
-                        ra["weight"] >= dominant_weight
-                        and ra["value"] is not None
-                        and rb["value"] is not None
-                        and ra["value"] < rb["value"]
-                    ):
-                        flags.append(
-                            {
-                                "holdout_winner": a,
-                                "stratum_winner": b,
-                                "stratum": s,
-                                "stratum_weight": ra["weight"],
-                            }
-                        )
-    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -82,15 +82,12 @@ class Dataset:
         cls,
         interactions: Iterable[Interaction],
         loop_kind: LoopKind = LoopKind.CLOSED,
-        dedup: bool = True,
     ) -> "Dataset":
         """Build a Dataset; duplicate (user, item) pairs keep the last occurrence."""
-        if dedup:
-            seen: dict[tuple[str, str], Interaction] = {}
-            for x in interactions:
-                seen[(x.user, x.item)] = x
-            interactions = list(seen.values())
-        return cls(list(interactions), loop_kind)
+        seen: dict[tuple[str, str], Interaction] = {}
+        for x in interactions:
+            seen[(x.user, x.item)] = x
+        return cls(list(seen.values()), loop_kind)
 
     def __len__(self) -> int:
         return len(self.interactions)
@@ -98,14 +95,7 @@ class Dataset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (
-            self.loop_kind == other.loop_kind
-            and sorted(self.interactions, key=lambda x: (x.user, x.item))
-            == sorted(other.interactions, key=lambda x: (x.user, x.item))
-        )
-
-    def __hash__(self):  # pragma: no cover - datasets are not hashed
-        return id(self)
+        return self.loop_kind == other.loop_kind and self.interactions == other.interactions
 
     @property
     def users(self) -> list[str]:
@@ -132,15 +122,6 @@ class Dataset:
     def ratings(self) -> np.ndarray:
         return np.fromiter((x.rating for x in self.interactions), dtype=np.float64, count=len(self))
 
-    @cached_property
-    def relevant_mask(self) -> np.ndarray:
-        return np.fromiter((x.relevant for x in self.interactions), dtype=bool, count=len(self))
-
-    def by_user(self) -> dict[str, list[Interaction]]:
-        out: dict[str, list[Interaction]] = {}
-        for x in self.interactions:
-            out.setdefault(x.user, []).append(x)
-        return out
 
 
 @dataclass(frozen=True)
@@ -190,11 +171,11 @@ def parse_interactions(
     return Dataset.from_interactions(interactions, loop_kind)
 
 
-def write_dataset(dataset: Dataset, stream: IO[str], delimiter: str = ",") -> None:
+def write_dataset(dataset: Dataset, stream: IO[str]) -> None:
     """Serialize in canonical order (by user, then item); round-trips with
     parse_interactions up to the loop_kind flag, which lives outside the file."""
     for x in sorted(dataset.interactions, key=lambda i: (i.user, i.item)):
-        stream.write(f"{x.user}{delimiter}{x.item}{delimiter}{x.rating}\n")
+        stream.write(f"{x.user},{x.item},{x.rating}\n")
 
 
 def binarize(dataset: Dataset, threshold: int = DEFAULT_THRESHOLD) -> Dataset:

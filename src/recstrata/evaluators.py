@@ -20,7 +20,7 @@ from typing import Mapping
 from scipy.stats import t as student_t
 
 from .corpus import Dataset
-from .metrics import AGG_MEAN_CREDIT, MetricSpec, RankedList, gain_at, ideal_dcg, ndcg
+from .metrics import MetricSpec, RankedList, gain_at, ideal_dcg, ndcg
 from .propensity import PropensityTable
 from .strata import StrataAssignment, StratumWeights
 
@@ -59,13 +59,6 @@ def _relevant_by_user(test: Dataset) -> dict[str, set[str]]:
     return out
 
 
-def _test_items_by_user(test: Dataset) -> dict[str, set[str]]:
-    out: dict[str, set[str]] = {u: set() for u in test.user_index}
-    for x in test.interactions:
-        out[x.user].add(x.item)
-    return out
-
-
 def _mean(values: list[float]) -> float:
     return sum(values) / len(values)
 
@@ -91,33 +84,10 @@ def holdout_eval(
     _require_rankings(rankings, test)
     relevant = _relevant_by_user(test)
     per_user: dict[str, float | None] = {}
-    if spec.aggregation == AGG_MEAN_CREDIT:
-        test_items = _test_items_by_user(test)
-        for u in test.user_index:
-            per_user[u] = _mean_credit_user(rankings[u], test_items[u], relevant[u], spec)
-    else:
-        for u in test.user_index:
-            per_user[u] = ndcg(rankings[u], relevant[u], spec)
+    for u in test.user_index:
+        per_user[u] = ndcg(rankings[u], relevant[u], spec)
     overall = _mean_defined(per_user, "holdout")
     return EvalReport(method="holdout", overall=overall, per_user=per_user, spec=spec)
-
-
-def _mean_credit_user(
-    ranked: RankedList, user_test_items: set[str], rel: set[str], spec: MetricSpec,
-    propensities: Mapping[str, float] | None = None,
-) -> float | None:
-    # literal mean-of-credits aggregation: average the (possibly reweighted)
-    # discounted gain over every test item of the user
-    if not user_test_items:
-        return None
-    rank_of = ranked.rank_of
-    gains = []
-    for item in sorted(user_test_items):
-        gain = gain_at(rank_of.get(item), spec.cutoff) if item in rel else 0.0
-        if propensities is not None:
-            gain = gain / propensities[item]
-        gains.append(gain)
-    return math.fsum(gains) / len(user_test_items)
 
 
 def ips_eval(
@@ -139,23 +109,16 @@ def ips_eval(
             raise EvaluationError(f"non-positive propensity for item {item!r}")
     relevant = _relevant_by_user(test)
     per_user: dict[str, float | None] = {}
-    if spec.aggregation == AGG_MEAN_CREDIT:
-        test_items = _test_items_by_user(test)
-        for u in test.user_index:
-            per_user[u] = _mean_credit_user(
-                rankings[u], test_items[u], relevant[u], spec, propensities=scores
-            )
-    else:
-        for u in test.user_index:
-            rel = sorted(relevant[u])
-            if not rel:
-                per_user[u] = None
-                continue
-            rank_of = rankings[u].rank_of
-            weighted = math.fsum(
-                gain_at(rank_of.get(item), spec.cutoff) / scores[item] for item in rel
-            )
-            per_user[u] = weighted / ideal_dcg(len(rel), spec.cutoff)
+    for u in test.user_index:
+        rel = sorted(relevant[u])
+        if not rel:
+            per_user[u] = None
+            continue
+        rank_of = rankings[u].rank_of
+        weighted = math.fsum(
+            gain_at(rank_of.get(item), spec.cutoff) / scores[item] for item in rel
+        )
+        per_user[u] = weighted / ideal_dcg(len(rel), spec.cutoff)
     overall = _mean_defined(per_user, "ips")
     return EvalReport(method="ips", overall=overall, per_user=per_user, spec=spec)
 

@@ -5,30 +5,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .corpus import Split
 
-#: aggregation styles for the per-user value
-AGG_NDCG = "ndcg"  # gain sum normalized by the ideal DCG (standard nDCG)
-AGG_MEAN_CREDIT = "mean_credit"  # plain mean of per-item credits over the user's test items
-
 
 @dataclass(frozen=True)
 class MetricSpec:
-    kind: str = "ndcg"
     cutoff: int | None = None
-    aggregation: str = AGG_NDCG
 
     def __post_init__(self):
-        if self.kind != "ndcg":
-            raise ValueError(f"unsupported metric kind {self.kind!r}")
         if self.cutoff is not None and self.cutoff < 1:
             raise ValueError(f"cutoff must be positive, got {self.cutoff}")
-        if self.aggregation not in (AGG_NDCG, AGG_MEAN_CREDIT):
-            raise ValueError(f"unknown aggregation {self.aggregation!r}")
 
     @property
     def label(self) -> str:
@@ -89,19 +79,10 @@ class RankingContext:
         return RankedList(user=user, order=tuple(kept_items[j] for j in order))
 
 
-def build_ranking(model, user: str, dataset_context: Split) -> RankedList:
-    """Rank all candidate items for one user by descending model score."""
-    ctx = RankingContext(dataset_context)
-    scores = model.score_array(user, ctx.items)
-    return ctx.rank(scores, user)
-
-
-def rank_all(model, split: Split, users: Iterable[str] | None = None) -> dict[str, RankedList]:
-    """Rankings for every test user of the split (or an explicit user set)."""
+def rank_all(model, split: Split) -> dict[str, RankedList]:
+    """Rankings for every test user of the split."""
     ctx = RankingContext(split)
-    if users is None:
-        users = split.test.users
-    return {u: ctx.rank(model.score_array(u, ctx.items), u) for u in users}
+    return {u: ctx.rank(model.score_array(u, ctx.items), u) for u in split.test.users}
 
 
 def ideal_dcg(n_relevant: int, cutoff: int | None) -> float:

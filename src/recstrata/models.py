@@ -56,8 +56,6 @@ class ModelConfig:
 class Recommender:
     """Base estimator: fit(train) -> self, then score/score_array/score_matrix."""
 
-    cold_start = "popularity"
-
     def __init__(self, config: ModelConfig):
         self.config = config
 
@@ -71,10 +69,9 @@ class Recommender:
     def fit(self, train: Dataset) -> "Recommender":
         if len(train) == 0:
             raise FitError(f"{self.label}: empty training dataset")
-        self.train_ = train
-        self.users_ = list(train.user_index)
-        self.items_ = list(train.item_index)
-        self._pop = np.array([train.item_counts[i] for i in self.items_], dtype=np.float64)
+        self.user_index_ = train.user_index
+        self.item_index_ = train.item_index
+        self._pop = np.array([train.item_counts[i] for i in self.item_index_], dtype=np.float64)
         self._fit(train)
         return self
 
@@ -82,7 +79,7 @@ class Recommender:
         raise NotImplementedError
 
     def _user_scores(self, user: str) -> np.ndarray:
-        """Scores over self.items_ for a known or unknown user."""
+        """Scores over self.item_index_ for a known or unknown user."""
         raise NotImplementedError
 
     def _cold_scores(self) -> np.ndarray:
@@ -90,7 +87,7 @@ class Recommender:
 
     def score(self, user: str) -> dict[str, float]:
         self._check_fitted()
-        return dict(zip(self.items_, self._user_scores(user).tolist()))
+        return dict(zip(self.item_index_, self._user_scores(user).tolist()))
 
     def score_array(self, user: str, items: Sequence[str]) -> np.ndarray:
         """Scores aligned to an arbitrary item list; unseen items score 0."""
@@ -109,13 +106,12 @@ class Recommender:
         cached = getattr(self, "_align_cache", None)
         if cached is not None and cached[0] == items:
             return cached[1]
-        index = self.train_.item_index
-        idx = np.array([index.get(i, -1) for i in items], dtype=np.int64)
+        idx = np.array([self.item_index_.get(i, -1) for i in items], dtype=np.int64)
         self._align_cache = (items, idx)
         return idx
 
     def _check_fitted(self) -> None:
-        if not hasattr(self, "train_"):
+        if not hasattr(self, "item_index_"):
             raise FitError(f"{self.label}: model is not fitted")
 
     def _check_finite(self, arrays: Iterable[np.ndarray], epoch: int) -> None:
@@ -137,7 +133,7 @@ class RandomScorer(Recommender):
         ) / 2.0**32
 
     def _user_scores(self, user: str) -> np.ndarray:
-        return self._hash_scores(user, self.items_)
+        return self._hash_scores(user, self.item_index_)
 
     def score_array(self, user: str, items: Sequence[str]) -> np.ndarray:
         self._check_fitted()
@@ -151,14 +147,11 @@ class GlobalAverage(Recommender):
         self.mean_ = float(np.mean(train.ratings))
 
     def _user_scores(self, user: str) -> np.ndarray:
-        return np.full(len(self.items_), self.mean_)
+        return np.full(len(self.item_index_), self.mean_)
 
     def score_array(self, user: str, items: Sequence[str]) -> np.ndarray:
         self._check_fitted()
         return np.full(len(items), self.mean_)
-
-    def score_matrix(self, users: Sequence[str], items: Sequence[str]) -> np.ndarray:
-        return np.full((len(users), len(items)), self.mean_)
 
 
 class Popularity(Recommender):
@@ -170,32 +163,18 @@ class Popularity(Recommender):
     def _user_scores(self, user: str) -> np.ndarray:
         return self._pop.copy()
 
-    def score_matrix(self, users: Sequence[str], items: Sequence[str]) -> np.ndarray:
-        row = self.score_array(users[0], items) if users else np.zeros(len(items))
-        return np.tile(row, (len(users), 1))
-
 
 class _FactorModel(Recommender):
     """Shared scoring for latent-factor models (user/item matrices + biases)."""
 
     def _user_scores(self, user: str) -> np.ndarray:
-        uid = self.train_.user_index.get(user)
+        uid = self.user_index_.get(user)
         if uid is None:
             return self._cold_scores()
         return self._score_uid(uid)
 
     def _score_uid(self, uid: int) -> np.ndarray:
         raise NotImplementedError
-
-    def score_matrix(self, users: Sequence[str], items: Sequence[str]) -> np.ndarray:
-        self._check_fitted()
-        idx = self._item_alignment(tuple(items))
-        known = idx >= 0
-        out = np.zeros((len(users), len(items)), dtype=np.float64)
-        for k, u in enumerate(users):
-            base = self._user_scores(u)
-            out[k, known] = base[idx[known]]
-        return out
 
     def _init_factors(self, rng: np.random.Generator, n_users: int, n_items: int):
         k = self.config.latent_size
@@ -388,8 +367,8 @@ def save_model(model: Recommender, path: str) -> None:
         path,
         format_version=MODEL_FORMAT_VERSION,
         config=json.dumps(model.get_params()),
-        users=np.array(model.users_),
-        items=np.array(model.items_),
+        users=np.array(list(model.user_index_)),
+        items=np.array(list(model.item_index_)),
         popularity=model._pop,
         **{k: np.asarray(v) for k, v in arrays.items()},
     )
@@ -402,19 +381,9 @@ def load_model(path: str) -> Recommender:
         raise ValueError(f"unsupported model format version {version}")
     config = ModelConfig(**json.loads(str(data["config"])))
     model = _CLASSES[config.algorithm](config)
-    users = [str(x) for x in data["users"]]
-    items = [str(x) for x in data["items"]]
-    model.users_ = users
-    model.items_ = items
+    model.user_index_ = {str(x): k for k, x in enumerate(data["users"])}
+    model.item_index_ = {str(x): k for k, x in enumerate(data["items"])}
     model._pop = data["popularity"]
-
-    class _IndexOnly:
-        pass
-
-    shim = _IndexOnly()
-    shim.user_index = {x: k for k, x in enumerate(users)}
-    shim.item_index = {x: k for k, x in enumerate(items)}
-    model.train_ = shim
     for name in ("mu_", "bu_", "bi_", "P_", "Q_", "X_", "Y_", "mean_"):
         if name in data:
             value = data[name]

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import zeta
 
-from .corpus import Dataset
+from .corpus import Dataset, ParseError
 
 
 class EstimationError(ValueError):
@@ -116,7 +116,7 @@ def estimate_propensities(dataset: Dataset, gamma: GammaEstimate) -> PropensityT
     )
 
 
-def write_propensities(table: PropensityTable, stream: IO[str], delimiter: str = ",") -> None:
+def write_propensities(table: PropensityTable, stream: IO[str]) -> None:
     """Export as item, count, score rows with the fitted gamma in a header comment."""
     stream.write(
         f"# gamma={table.gamma.gamma!r} n_samples={table.gamma.n_samples}"
@@ -124,31 +124,41 @@ def write_propensities(table: PropensityTable, stream: IO[str], delimiter: str =
         f" normalization={table.normalization}\n"
     )
     for item in sorted(table.scores):
-        stream.write(
-            f"{item}{delimiter}{table.item_counts[item]}{delimiter}{table.scores[item]!r}\n"
-        )
+        stream.write(f"{item},{table.item_counts[item]},{table.scores[item]!r}\n")
 
 
-def read_propensities(stream: IO[str], delimiter: str = ",") -> PropensityTable:
+def read_propensities(stream: IO[str]) -> PropensityTable:
+    """Parse write_propensities' format; malformed input raises ParseError
+    naming the line."""
     gamma: GammaEstimate | None = None
     scores: dict[str, float] = {}
     counts: dict[str, int] = {}
-    for line in stream:
-        line = line.strip()
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             fields = dict(part.split("=", 1) for part in line[1:].split() if "=" in part)
-            gamma = GammaEstimate(
-                gamma=float(fields["gamma"]),
-                n_samples=int(fields["n_samples"]),
-                x_min=int(fields["x_min"]),
-                method=fields.get("method", "mle"),
-            )
+            try:
+                gamma = GammaEstimate(
+                    gamma=float(fields["gamma"]),
+                    n_samples=int(fields["n_samples"]),
+                    x_min=int(fields["x_min"]),
+                    method=fields.get("method", "mle"),
+                )
+            except (KeyError, ValueError) as e:
+                raise ParseError(f"line {lineno}: malformed gamma header ({e})") from None
             continue
-        item, count, score = line.split(delimiter)
-        scores[item] = float(score)
-        counts[item] = int(count)
+        row = line.split(",")
+        if len(row) != 3:
+            raise ParseError(f"line {lineno}: expected 3 fields (item, count, score), got {len(row)}")
+        item, count, score = row
+        try:
+            counts[item], scores[item] = int(count), float(score)
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-numeric count {count!r} or score {score!r}") from None
+        if not 0.0 < scores[item] <= 1.0:
+            raise ParseError(f"line {lineno}: propensity {score} outside (0, 1]")
     if gamma is None:
-        raise EstimationError("propensity file is missing its gamma header")
+        raise ParseError("line 1: propensity file is missing its '# gamma=' header")
     return PropensityTable(scores=scores, gamma=gamma, item_counts=counts)

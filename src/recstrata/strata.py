@@ -100,12 +100,11 @@ def write_assignment(
     assignment: StrataAssignment,
     propensities: PropensityTable,
     stream: IO[str],
-    delimiter: str = ",",
 ) -> None:
     stream.write(f"# K={assignment.K}\n")
     for item in sorted(assignment.stratum_of):
         stream.write(
-            f"{item}{delimiter}{propensities.item_counts[item]}"
-            f"{delimiter}{propensities.scores[item]!r}"
-            f"{delimiter}{assignment.stratum_of[item]}\n"
+            f"{item},{propensities.item_counts[item]}"
+            f",{propensities.scores[item]!r}"
+            f",{assignment.stratum_of[item]}\n"
         )

@@ -23,7 +23,7 @@ from .evaluators import (
 from .metrics import MetricSpec, rank_all
 from .models import Recommender
 from .propensity import PropensityTable
-from .strata import StrataAssignment, assign_strata, stratum_weights
+from .strata import StrataAssignment, StratumWeights, assign_strata, stratum_weights
 
 METHODS = ("holdout", "ips", "stratified")
 SIGNIFICANCE_ALPHA = 0.05
@@ -88,44 +88,52 @@ class ModelEvaluation:
 def evaluate_models(
     models: Sequence[Recommender],
     split: Split,
-    spec: MetricSpec,
+    specs: Sequence[MetricSpec],
     methods: Sequence[str] = ("holdout",),
-    K: int = 2,
+    ks: Sequence[int] = (2,),
     propensities: PropensityTable | None = None,
-    assignment: StrataAssignment | None = None,
-) -> list[ModelEvaluation]:
-    """Evaluate every model with every requested estimator.
+    baseline: str | None = None,
+) -> list[dict]:
+    """Evaluate every model with every requested estimator at every metric
+    spec and, for the stratified method, every strata count in `ks`.
 
-    Rankings are computed once per model and shared across estimators.
-    The stratified method derives its assignment from the propensity table
-    when one is not supplied.
+    Each model is ranked once and each K's assignment and weights are built
+    once. Records come per spec: first the holdout and IPS group, then one
+    stratified group per K; within a group they are ordered by model, then
+    method, and carry paired t-test markers against `baseline` from
+    `report_records`.
     """
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown evaluation method {m!r}")
-    needs_prop = "ips" in methods or ("stratified" in methods and assignment is None)
-    if needs_prop and propensities is None:
+    if ("ips" in methods or "stratified" in methods) and propensities is None:
         raise EvaluationError(
             "this evaluation needs a propensity table; run propensity fitting first"
         )
-    weights = None
-    if "stratified" in methods:
-        if assignment is None:
-            assignment = assign_strata(propensities, K)
-        weights = stratum_weights(assignment, split.test)
-    out: list[ModelEvaluation] = []
+    strata_ks = list(ks) if "stratified" in methods else []
+    strata: dict[int, tuple[StrataAssignment, StratumWeights]] = {}
+    # (spec index, K index or None) -> one ModelEvaluation per model; the
+    # first model fills the keys in record order
+    groups: dict[tuple[int, int | None], list[ModelEvaluation]] = {}
     for model in models:
         rankings = rank_all(model, split)
-        reports: dict[str, EvalReport] = {}
-        if "holdout" in methods:
-            reports["holdout"] = holdout_eval(rankings, split.test, spec)
-        if "ips" in methods:
-            reports["ips"] = ips_eval(rankings, split.test, propensities, spec)
-        if "stratified" in methods:
-            per_stratum = per_stratum_eval(rankings, split.test, assignment, spec)
-            reports["stratified"] = stratified_eval(per_stratum, weights, spec)
-        out.append(ModelEvaluation(model=model.label, spec=spec, reports=reports))
-    return out
+        for n, spec in enumerate(specs):
+            reports: dict[str, EvalReport] = {}
+            if "holdout" in methods:
+                reports["holdout"] = holdout_eval(rankings, split.test, spec)
+            if "ips" in methods:
+                reports["ips"] = ips_eval(rankings, split.test, propensities, spec)
+            if reports:
+                groups.setdefault((n, None), []).append(ModelEvaluation(model.label, spec, reports))
+            for j, K in enumerate(strata_ks):
+                if K not in strata:
+                    assignment = assign_strata(propensities, K)
+                    strata[K] = assignment, stratum_weights(assignment, split.test)
+                assignment, weights = strata[K]
+                per_stratum = per_stratum_eval(rankings, split.test, assignment, spec)
+                groups.setdefault((n, j), []).append(ModelEvaluation(
+                    model.label, spec, {"stratified": stratified_eval(per_stratum, weights, spec)}))
+    return [rec for group in groups.values() for rec in report_records(group, baseline)]
 
 
 def audit_report(report: EvalReport, tol: float = 1e-9) -> None:
@@ -148,9 +156,7 @@ def audit_report(report: EvalReport, tol: float = 1e-9) -> None:
 
 
 def report_records(
-    evaluations: Sequence[ModelEvaluation],
-    baseline: str | None = None,
-    alpha: float = SIGNIFICANCE_ALPHA,
+    evaluations: Sequence[ModelEvaluation], baseline: str | None = None
 ) -> list[dict]:
     """Flatten evaluations into serializable records (one per model x method),
     with paired t-test markers against a named baseline model."""
@@ -193,7 +199,7 @@ def report_records(
                     rec["t_vs_baseline"] = t
                     rec["p_vs_baseline"] = p
                     rec["significant_vs_baseline"] = bool(
-                        p < alpha and report.overall > base.overall
+                        p < SIGNIFICANCE_ALPHA and report.overall > base.overall
                     )
             records.append(rec)
     return records
@@ -218,41 +224,48 @@ def write_table(records: Sequence[Mapping], stream: IO[str]) -> None:
         )
 
 
-def simpson_flags(
-    evaluations: Sequence[ModelEvaluation], dominant_weight: float = 0.9
-) -> list[dict]:
-    """Model pairs where the holdout winner loses in the stratum carrying at
-    least `dominant_weight` of the test feedback."""
+def cutoffs_in(records: Iterable[Mapping]) -> list[int | None]:
+    """The records' distinct cutoffs, ascending, with the full list (None) last."""
+    return sorted({rec.get("cutoff") for rec in records}, key=lambda c: (c is None, c))
+
+
+def simpson_flags(records: Sequence[Mapping], dominant_weight: float = 0.9) -> list[dict]:
+    """Model pairs where the holdout winner loses in a stratum carrying at
+    least `dominant_weight` of the test feedback, checked at every cutoff and
+    every K of the stratified records."""
     flags = []
-    usable = [
-        ev
-        for ev in evaluations
-        if "holdout" in ev.reports and ev.reports.get("stratified") is not None
-    ]
-    for a_idx in range(len(usable)):
-        for b_idx in range(len(usable)):
-            if a_idx == b_idx:
+    for cutoff in cutoffs_in(records):
+        holdout: dict[str, float] = {}
+        stratified: dict[int, dict[str, Mapping]] = {}
+        for rec in records:
+            if rec.get("cutoff") != cutoff:
                 continue
-            a, b = usable[a_idx], usable[b_idx]
-            if a.reports["holdout"].overall <= b.reports["holdout"].overall:
-                continue
-            for s, ra in a.reports["stratified"].per_stratum.items():
-                rb = b.reports["stratified"].per_stratum[s]
-                if (
-                    ra.weight >= dominant_weight
-                    and ra.value is not None
-                    and rb.value is not None
-                    and ra.value < rb.value
-                ):
-                    flags.append(
-                        {
-                            "holdout_winner": a.model,
-                            "stratum_winner": b.model,
-                            "stratum": s,
-                            "stratum_weight": ra.weight,
-                            "holdout": {a.model: a.reports["holdout"].overall,
-                                        b.model: b.reports["holdout"].overall},
-                            "stratum_values": {a.model: ra.value, b.model: rb.value},
-                        }
-                    )
+            if rec["method"] == "holdout":
+                holdout[rec["model"]] = rec["overall"]
+            elif rec["method"] == "stratified":
+                stratified.setdefault(rec["K"], {})[rec["model"]] = rec
+        for K, by_model in sorted(stratified.items()):
+            labels = sorted(set(holdout) & set(by_model))
+            for a in labels:
+                for b in labels:
+                    if a == b or holdout[a] <= holdout[b]:
+                        continue
+                    for s, ra in by_model[a]["per_stratum"].items():
+                        rb = by_model[b]["per_stratum"][s]
+                        if (
+                            ra["weight"] >= dominant_weight
+                            and ra["value"] is not None
+                            and rb["value"] is not None
+                            and ra["value"] < rb["value"]
+                        ):
+                            flags.append(
+                                {
+                                    "cutoff": cutoff,
+                                    "K": K,
+                                    "holdout_winner": a,
+                                    "stratum_winner": b,
+                                    "stratum": s,
+                                    "stratum_weight": ra["weight"],
+                                }
+                            )
     return flags

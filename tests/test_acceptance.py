@@ -225,11 +225,11 @@ def test_criterion_08_aggregation_reversal_appears_under_exposure_skew():
             fit(ModelConfig(a, latent_size=s, epochs=30, seed=seed), log.closed_train)
             for a in ("MF", "BPR", "WMF") for s in sizes
         ]
-        evaluations = evaluate_models(
-            models, log.closed_split, SPEC,
-            methods=["holdout", "stratified"], K=2, propensities=table,
+        records = evaluate_models(
+            models, log.closed_split, [SPEC],
+            methods=["holdout", "stratified"], ks=[2], propensities=table,
         )
-        flags = simpson_flags(evaluations, dominant_weight=0.9)
+        flags = simpson_flags(records, dominant_weight=0.9)
         if flags:
             flagged += 1
             for flag in flags:

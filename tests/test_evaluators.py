@@ -14,7 +14,7 @@ from recstrata.evaluators import (
     per_stratum_eval,
     stratified_eval,
 )
-from recstrata.metrics import AGG_MEAN_CREDIT, MetricSpec, RankedList
+from recstrata.metrics import MetricSpec, RankedList
 from recstrata.propensity import GammaEstimate, PropensityTable
 from recstrata.strata import StrataAssignment, StratumWeights, assign_strata
 
@@ -80,13 +80,6 @@ class TestHoldout:
         test = make_test([("u1", "a", 5)])
         with pytest.raises(EvaluationError, match="u1"):
             holdout_eval({}, test, SPEC)
-
-    def test_mean_credit_aggregation(self):
-        test = make_test([("u1", "a", 5), ("u1", "b", 1)])
-        spec = MetricSpec(aggregation=AGG_MEAN_CREDIT)
-        report = holdout_eval(rankings_for({"u1": ["a", "b"]}), test, spec)
-        # credits: a -> 1.0 at rank 1, b -> 0 (not relevant); mean over 2 test items
-        assert report.overall == pytest.approx(0.5)
 
 
 class TestIps:

@@ -8,7 +8,6 @@ from recstrata.corpus import Dataset, Interaction, Split
 from recstrata.metrics import (
     MetricSpec,
     RankedList,
-    build_ranking,
     gain_at,
     ideal_dcg,
     ndcg,
@@ -35,12 +34,12 @@ def make_split(train_rows, test_rows):
 class TestBuildRanking:
     def test_sorts_by_descending_score(self):
         split = make_split([("u2", "a", 5)], [("u1", "a", 5), ("u1", "b", 5), ("u1", "c", 5)])
-        ranked = build_ranking(StubModel({"a": 0.9, "b": 0.1, "c": 0.5}), "u1", split)
+        ranked = rank_all(StubModel({"a": 0.9, "b": 0.1, "c": 0.5}), split)["u1"]
         assert ranked.order == ("a", "c", "b")
 
     def test_train_items_excluded(self):
         split = make_split([("u1", "b", 5)], [("u1", "a", 5), ("u1", "c", 5)])
-        ranked = build_ranking(StubModel({"a": 0.9, "b": 1.0, "c": 0.5}), "u1", split)
+        ranked = rank_all(StubModel({"a": 0.9, "b": 1.0, "c": 0.5}), split)["u1"]
         assert "b" not in ranked.order
 
     def test_score_ties_fall_back_to_train_popularity(self):
@@ -48,12 +47,12 @@ class TestBuildRanking:
             [("u2", "b", 5), ("u3", "b", 5), ("u2", "c", 5)],
             [("u1", "a", 5), ("u1", "b", 5), ("u1", "c", 5)],
         )
-        ranked = build_ranking(StubModel({}), "u1", split)
+        ranked = rank_all(StubModel({}), split)["u1"]
         assert ranked.order == ("b", "c", "a")
 
     def test_full_tie_falls_back_to_item_id(self):
         split = make_split([("u2", "z", 5)], [("u1", "a", 5), ("u1", "b", 5)])
-        ranked = build_ranking(StubModel({}), "u1", split)
+        ranked = rank_all(StubModel({}), split)["u1"]
         # z has popularity 1, then a/b alphabetical
         assert ranked.order == ("z", "a", "b")
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recstrata.corpus import Dataset, Interaction
+from recstrata.corpus import Dataset, Interaction, ParseError
 from recstrata.propensity import (
     EstimationError,
     GammaEstimate,
@@ -127,5 +127,5 @@ class TestSerialization:
         assert again.gamma.gamma == table.gamma.gamma
 
     def test_missing_header_is_an_error(self):
-        with pytest.raises(EstimationError):
+        with pytest.raises(ParseError, match="line 1"):
             read_propensities(io.StringIO("a,1,0.5\n"))

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from recstrata import cli
+import recstrata
+from recstrata import cli, workbench
 from recstrata.corpus import Dataset, Interaction, Split, binarize
 from recstrata.evaluators import EvaluationError
 from recstrata.metrics import MetricSpec
@@ -10,10 +15,8 @@ from recstrata.models import ModelConfig, fit
 from recstrata.propensity import estimate_propensities, fit_gamma
 from recstrata.simulator import SimConfig, generate
 from recstrata.workbench import (
-    audit_report,
     evaluate_models,
     read_records,
-    report_records,
     sha256_file,
     simpson_flags,
     write_manifest,
@@ -39,50 +42,68 @@ def models(sim):
 
 class TestEvaluateModels:
     def test_all_methods_produce_audited_reports(self, sim, propensities, models):
-        evals = evaluate_models(
-            models, sim.closed_split, MetricSpec(),
-            methods=["holdout", "ips", "stratified"], K=2, propensities=propensities,
+        # report_records audits every report's arithmetic before it emits it
+        records = evaluate_models(
+            models, sim.closed_split, [MetricSpec()],
+            methods=["holdout", "ips", "stratified"], ks=[2], propensities=propensities,
         )
-        assert [e.model for e in evals] == ["POP", "BO", "MF4"]
-        for ev in evals:
-            for report in ev.reports.values():
-                audit_report(report)
+        assert [(r["model"], r["method"]) for r in records] == [
+            ("POP", "holdout"), ("POP", "ips"), ("BO", "holdout"), ("BO", "ips"),
+            ("MF4", "holdout"), ("MF4", "ips"),
+            ("POP", "stratified"), ("BO", "stratified"), ("MF4", "stratified"),
+        ]
+
+    def test_records_come_per_cutoff_then_k(self, sim, propensities, models):
+        records = evaluate_models(
+            models, sim.closed_split, [MetricSpec(), MetricSpec(cutoff=5)],
+            methods=["holdout", "stratified"], ks=[1, 2], propensities=propensities,
+        )
+        groups = []
+        for r in records:
+            key = (r["cutoff"], r["method"], r["K"])
+            if key not in groups:
+                groups.append(key)
+        assert groups == [
+            (None, "holdout", None), (None, "stratified", 1), (None, "stratified", 2),
+            (5, "holdout", None), (5, "stratified", 1), (5, "stratified", 2),
+        ]
 
     def test_stratified_without_propensities_is_instructive(self, sim, models):
         with pytest.raises(EvaluationError, match="propensity"):
-            evaluate_models(models, sim.closed_split, MetricSpec(), methods=["ips"])
+            evaluate_models(models, sim.closed_split, [MetricSpec()], methods=["ips"])
 
     def test_k1_stratified_equals_holdout(self, sim, propensities, models):
-        evals = evaluate_models(
-            models, sim.closed_split, MetricSpec(),
-            methods=["holdout", "stratified"], K=1, propensities=propensities,
+        records = evaluate_models(
+            models, sim.closed_split, [MetricSpec()],
+            methods=["holdout", "stratified"], ks=[1], propensities=propensities,
         )
-        for ev in evals:
-            assert ev.reports["stratified"].overall == ev.reports["holdout"].overall
+        by_method = {}
+        for r in records:
+            by_method.setdefault(r["method"], {})[r["model"]] = r["overall"]
+        assert by_method["stratified"] == by_method["holdout"]
 
     def test_unknown_method(self, sim, models):
         with pytest.raises(ValueError):
-            evaluate_models(models, sim.closed_split, MetricSpec(), methods=["oracle"])
+            evaluate_models(models, sim.closed_split, [MetricSpec()], methods=["oracle"])
 
 
 class TestRecords:
     def test_baseline_markers(self, sim, propensities, models):
-        evals = evaluate_models(
-            models, sim.closed_split, MetricSpec(), methods=["holdout"],
+        records = evaluate_models(
+            models, sim.closed_split, [MetricSpec()], methods=["holdout"], baseline="POP",
         )
-        records = report_records(evals, baseline="POP")
         by_model = {r["model"]: r for r in records}
         assert "p_vs_baseline" not in by_model["POP"]
         assert 0.0 <= by_model["BO"]["p_vs_baseline"] <= 1.0
 
     def test_missing_baseline_is_an_error(self, sim, models):
-        evals = evaluate_models(models, sim.closed_split, MetricSpec(), methods=["holdout"])
         with pytest.raises(ValueError):
-            report_records(evals, baseline="nope")
+            evaluate_models(
+                models, sim.closed_split, [MetricSpec()], methods=["holdout"], baseline="nope"
+            )
 
     def test_round_trip(self, sim, models, tmp_path):
-        evals = evaluate_models(models, sim.closed_split, MetricSpec(), methods=["holdout"])
-        records = report_records(evals)
+        records = evaluate_models(models, sim.closed_split, [MetricSpec()], methods=["holdout"])
         path = tmp_path / "records.jsonl"
         with open(path, "w") as f:
             write_records(records, f)
@@ -90,11 +111,11 @@ class TestRecords:
             assert read_records(f) == json.loads(json.dumps(records))
 
     def test_simpson_flags_shape(self, sim, propensities, models):
-        evals = evaluate_models(
-            models, sim.closed_split, MetricSpec(),
-            methods=["holdout", "stratified"], K=2, propensities=propensities,
+        records = evaluate_models(
+            models, sim.closed_split, [MetricSpec()],
+            methods=["holdout", "stratified"], ks=[2], propensities=propensities,
         )
-        for flag in simpson_flags(evals, dominant_weight=0.5):
+        for flag in simpson_flags(records, dominant_weight=0.5):
             assert flag["holdout_winner"] != flag["stratum_winner"]
             assert flag["stratum_weight"] >= 0.5
 
@@ -219,3 +240,86 @@ class TestCli:
         with open(workdir / "frommodel.jsonl") as f:
             records = read_records(f)
         assert records[0]["model"] == "MF4"
+
+    def test_evaluate_ranks_each_model_once_per_test_log(self, workdir, monkeypatch):
+        assert run_cli("simulate", "--config", "sim.json", "--out-dir", "sim") == 0
+        # propensities over train and test, so every test item has one
+        (workdir / "closed.csv").write_text(
+            (workdir / "sim/closed_train.csv").read_text()
+            + (workdir / "sim/closed_test.csv").read_text()
+        )
+        assert run_cli("propensity", "--train", "closed.csv", "--out", "prop.csv") == 0
+        calls = []
+        rank_all = workbench.rank_all
+
+        def counting_rank_all(model, split):
+            calls.append(model.label)
+            return rank_all(model, split)
+
+        monkeypatch.setattr(workbench, "rank_all", counting_rank_all)
+        assert run_cli(
+            "evaluate", "--train", "sim/closed_train.csv", "--test", "sim/closed_test.csv",
+            "--models", "POP,BO,GA", "--methods", "holdout,ips,stratified", "--k", "1,2",
+            "--cutoffs", "none,10", "--propensities", "prop.csv", "--out", "closed.jsonl",
+        ) == 0
+        assert calls == ["POP", "BO", "GA"]
+        with open(workdir / "closed.jsonl") as f:
+            # models x cutoffs x (holdout, ips, stratified K=1, stratified K=2)
+            assert len(read_records(f)) == 3 * 2 * 4
+
+    def test_report_checks_every_k(self, workdir, capsys):
+        # a reversal at K=2, none at K=3, the last K in the file
+        def stratified(model, K, strata):
+            per_stratum = {str(s): {"value": v, "weight": w} for s, (v, w) in strata.items()}
+            return {"model": model, "method": "stratified", "metric": "ndcg", "cutoff": None,
+                    "K": K, "overall": 0.0, "per_stratum": per_stratum}
+
+        records = [
+            {"model": "A", "method": "holdout", "metric": "ndcg", "cutoff": None, "K": None,
+             "overall": 0.5},
+            {"model": "B", "method": "holdout", "metric": "ndcg", "cutoff": None, "K": None,
+             "overall": 0.4},
+            stratified("A", 2, {1: (0.9, 0.05), 2: (0.3, 0.95)}),
+            stratified("B", 2, {1: (0.1, 0.05), 2: (0.6, 0.95)}),
+            stratified("A", 3, {1: (0.9, 0.3), 2: (0.3, 0.3), 3: (0.3, 0.4)}),
+            stratified("B", 3, {1: (0.1, 0.3), 2: (0.6, 0.3), 3: (0.6, 0.4)}),
+        ]
+        with open(workdir / "closed.jsonl", "w") as f:
+            write_records(records, f)
+        assert run_cli("report", "--report", "closed.jsonl") == 0
+        flags = [line for line in capsys.readouterr().out.splitlines() if "SIMPSON" in line]
+        assert flags == [
+            "SIMPSON at ndcg, K=2: holdout prefers A but B wins stratum 2 (weight 0.950)"
+        ]
+
+    def test_manifests_reproduce_across_interpreters(self, tmp_path):
+        # the same ingest and propensity run, in two fresh interpreters
+        src = str(Path(recstrata.__file__).resolve().parents[1])
+        script = (
+            "from recstrata import cli\n"
+            "assert cli.main(['ingest', '--input', 'raw.csv', '--out', 'log.csv']) == 0\n"
+            "assert cli.main(['propensity', '--train', 'log.csv', '--out', 'p.csv']) == 0\n"
+        )
+        digests = []
+        for run in (tmp_path / "run1", tmp_path / "run2"):
+            run.mkdir()
+            (run / "raw.csv").write_text("u1,i1,5\nu2,i1,3\nu2,i2,4\nu3,i2,5\nu3,i3,1\n")
+            env = dict(os.environ, PYTHONPATH=src, RECSTRATA_ROOT=str(run))
+            subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                           capture_output=True)
+            digests.append([
+                json.loads((run / name).read_text())["config_digest"]
+                for name in ("log.csv.manifest.json", "p.csv.manifest.json")
+            ])
+        assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("text, line", [
+        ("# gamma=2.0 n_samples=2 x_min=1\na,1,0.5\nb,2\n", "line 3"),
+        ("a,1,0.5\nb,2,1.0\n", "line 1"),
+        ("# gamma=2.0 n_samples=2 x_min=1\na,1,0.5\nb,2,1.5\n", "line 3"),
+    ], ids=["short_row", "no_header", "score_above_one"])
+    def test_malformed_propensity_file_is_a_data_error(self, workdir, capsys, text, line):
+        (workdir / "prop.csv").write_text(text)
+        assert run_cli("stratify", "--propensities", "prop.csv", "--out", "strata.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and line in err
