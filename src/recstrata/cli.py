@@ -208,11 +208,24 @@ def _parse_cutoffs(text: str) -> list[int | None]:
 
 
 def cmd_evaluate(args) -> int:
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    k_values = [int(k) for k in str(args.k).split(",") if k.strip()]
+    specs = [MetricSpec(cutoff=c) for c in _parse_cutoffs(args.cutoffs)]
+    workbench.check_request(methods, k_values)
+    table = None
+    if args.propensities:
+        with open(_resolve(args.propensities), encoding="utf-8") as f:
+            table = propensity.read_propensities(f)
+    elif "ips" in methods or "stratified" in methods:
+        print(
+            "ips/stratified evaluation needs --propensities; "
+            "run `recstrata propensity` first",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
+
     train = _load_dataset(args.train)
     test = _load_dataset(args.test)
-    split = corpus.Split(train=train, test=test, seed=args.seed, ratio=0.8)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-
     trained: list[models.Recommender] = []
     if args.model_files:
         trained = [models.load_model(p) for p in args.model_files]
@@ -230,21 +243,8 @@ def cmd_evaluate(args) -> int:
         print("no models given: use --models or --model-files", file=sys.stderr)
         return EXIT_USAGE
 
-    table = None
-    if args.propensities:
-        with open(_resolve(args.propensities), encoding="utf-8") as f:
-            table = propensity.read_propensities(f)
-    elif "ips" in methods or "stratified" in methods:
-        print(
-            "ips/stratified evaluation needs --propensities; "
-            "run `recstrata propensity` first",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-
-    k_values = [int(k) for k in str(args.k).split(",") if k.strip()]
     records = workbench.evaluate_models(
-        trained, split, [MetricSpec(cutoff=c) for c in _parse_cutoffs(args.cutoffs)],
+        trained, corpus.Split(train=train, test=test), specs,
         methods=methods, ks=k_values, propensities=table, baseline=args.baseline,
     )
     out = _resolve(args.out)

@@ -128,8 +128,6 @@ class Dataset:
 class Split:
     train: Dataset
     test: Dataset
-    seed: int
-    ratio: float
 
 
 def parse_interactions(
@@ -205,4 +203,4 @@ def split_holdout(dataset: Dataset, ratio: float = 0.8, seed: int = 0) -> Split:
     test_idx = sorted(order[n_train:])
     train = Dataset([dataset.interactions[i] for i in train_idx], dataset.loop_kind)
     test = Dataset([dataset.interactions[i] for i in test_idx], dataset.loop_kind)
-    return Split(train=train, test=test, seed=seed, ratio=ratio)
+    return Split(train=train, test=test)

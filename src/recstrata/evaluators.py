@@ -14,15 +14,18 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from scipy.stats import t as student_t
 
 from .corpus import Dataset
-from .metrics import MetricSpec, RankedList, gain_at, ideal_dcg, ndcg
-from .propensity import PropensityTable
-from .strata import StrataAssignment, StratumWeights
+from .metrics import MetricSpec, ndcg
+from .propensity import COVERAGE_HINT, PropensityTable
+from .strata import StrataAssignment, StratumWeights, stratum_weights
+
+# a ranking: the 1-based rank of each of one user's test items
+Ranking = Mapping[str, int]
 
 
 class EvaluationError(ValueError):
@@ -46,7 +49,6 @@ class EvalReport:
     method: str
     overall: float
     per_user: dict[str, float | None]
-    spec: MetricSpec
     per_stratum: dict[int, StratumResult] | None = None
     strata_K: int | None = None
 
@@ -70,28 +72,26 @@ def _mean_defined(per_user: Mapping[str, float | None], method: str) -> float:
     return _mean(defined)
 
 
-def _require_rankings(rankings: Mapping[str, RankedList], test: Dataset) -> None:
+def _require_rankings(rankings: Mapping[str, Ranking], test: Dataset) -> None:
     missing = [u for u in test.user_index if u not in rankings]
     if missing:
         raise EvaluationError(f"missing rankings for {len(missing)} test users (e.g. {missing[0]!r})")
 
 
 def holdout_eval(
-    rankings: Mapping[str, RankedList], test: Dataset, spec: MetricSpec
+    rankings: Mapping[str, Ranking], test: Dataset, spec: MetricSpec
 ) -> EvalReport:
     """Mean per-user metric over the holdout test set; users with no relevant
     test item are skipped."""
     _require_rankings(rankings, test)
     relevant = _relevant_by_user(test)
-    per_user: dict[str, float | None] = {}
-    for u in test.user_index:
-        per_user[u] = ndcg(rankings[u], relevant[u], spec)
+    per_user = {u: ndcg(rankings[u], relevant[u], spec) for u in test.user_index}
     overall = _mean_defined(per_user, "holdout")
-    return EvalReport(method="holdout", overall=overall, per_user=per_user, spec=spec)
+    return EvalReport(method="holdout", overall=overall, per_user=per_user)
 
 
 def ips_eval(
-    rankings: Mapping[str, RankedList],
+    rankings: Mapping[str, Ranking],
     test: Dataset,
     propensities: PropensityTable,
     spec: MetricSpec,
@@ -104,27 +104,17 @@ def ips_eval(
     for item in test.item_index:
         p = scores.get(item)
         if p is None:
-            raise EvaluationError(f"no propensity for test item {item!r}")
+            raise EvaluationError(f"no propensity for test item {item!r}; {COVERAGE_HINT}")
         if p <= 0.0:
             raise EvaluationError(f"non-positive propensity for item {item!r}")
     relevant = _relevant_by_user(test)
-    per_user: dict[str, float | None] = {}
-    for u in test.user_index:
-        rel = sorted(relevant[u])
-        if not rel:
-            per_user[u] = None
-            continue
-        rank_of = rankings[u].rank_of
-        weighted = math.fsum(
-            gain_at(rank_of.get(item), spec.cutoff) / scores[item] for item in rel
-        )
-        per_user[u] = weighted / ideal_dcg(len(rel), spec.cutoff)
+    per_user = {u: ndcg(rankings[u], relevant[u], spec, scores) for u in test.user_index}
     overall = _mean_defined(per_user, "ips")
-    return EvalReport(method="ips", overall=overall, per_user=per_user, spec=spec)
+    return EvalReport(method="ips", overall=overall, per_user=per_user)
 
 
 def per_stratum_eval(
-    rankings: Mapping[str, RankedList],
+    rankings: Mapping[str, Ranking],
     test: Dataset,
     assignment: StrataAssignment,
     spec: MetricSpec,
@@ -135,34 +125,27 @@ def per_stratum_eval(
     items are restricted to the stratum. A user contributes to a stratum's
     mean only when they have at least one relevant test item there.
     Weights are filled in by stratified_eval; here they are reported as the
-    stratum's share of all test interactions.
+    stratum's share of all test interactions, from stratum_weights.
     """
     _require_rankings(rankings, test)
-    relevant = _relevant_by_user(test)
-    interaction_counts = {s: 0 for s in range(1, assignment.K + 1)}
+    weights = stratum_weights(assignment, test)
+    relevant: dict[str, dict[int, set[str]]] = {u: {} for u in test.user_index}
     for x in test.interactions:
-        s = assignment.stratum_of.get(x.item)
-        if s is None:
-            raise EvaluationError(f"test item {x.item!r} has no stratum")
-        interaction_counts[s] += 1
-    total = len(test)
-    results: dict[int, StratumResult] = {}
-    for s in range(1, assignment.K + 1):
-        in_stratum = assignment.items_in(s)
-        values: list[float] = []
-        for u in sorted(test.user_index):
-            restricted = relevant[u] & in_stratum
-            v = ndcg(rankings[u], restricted, spec)
-            if v is not None:
-                values.append(v)
-        value = _mean(values) if values else None
-        results[s] = StratumResult(
-            value=value,
-            weight=interaction_counts[s] / total if total else 0.0,
-            user_count=len(values),
-            interaction_count=interaction_counts[s],
+        if x.relevant:
+            relevant[x.user].setdefault(assignment.stratum_of[x.item], set()).add(x.item)
+    values: dict[int, list[float]] = {s: [] for s in weights.weights}
+    for u in sorted(relevant):
+        for s, items in relevant[u].items():
+            values[s].append(ndcg(rankings[u], items, spec))
+    return {
+        s: StratumResult(
+            value=_mean(v) if v else None,
+            weight=weights.weights[s],
+            user_count=len(v),
+            interaction_count=weights.counts[s],
         )
-    return results
+        for s, v in values.items()
+    }
 
 
 def stratified_eval(
@@ -171,7 +154,8 @@ def stratified_eval(
     spec: MetricSpec = MetricSpec(),
 ) -> EvalReport:
     """Marginalize per-stratum values by the stratum weights:
-    overall = sum_s value_s * P(X = s)."""
+    overall = sum_s value_s * P(X = s). `spec` is not read: the per-stratum
+    values were computed at it already."""
     wsum = sum(weights.weights.values())
     if abs(wsum - 1.0) > 1e-9:
         raise EvaluationError(f"stratum weights sum to {wsum}, expected 1")
@@ -186,22 +170,16 @@ def stratified_eval(
             value = None
         else:
             overall += value * w
-        if isinstance(entry, StratumResult):
-            detailed[s] = StratumResult(
-                value=value,
-                weight=w,
-                user_count=entry.user_count,
-                interaction_count=entry.interaction_count,
-            )
-        else:
-            detailed[s] = StratumResult(
-                value=value, weight=w, user_count=0, interaction_count=weights.counts.get(s, 0)
-            )
+        detailed[s] = StratumResult(
+            value=value,
+            weight=w,
+            user_count=entry.user_count if isinstance(entry, StratumResult) else 0,
+            interaction_count=weights.counts.get(s, 0),
+        )
     return EvalReport(
         method="stratified",
         overall=overall,
         per_user={},
-        spec=spec,
         per_stratum=detailed,
         strata_K=len(weights.weights),
     )

@@ -1,11 +1,10 @@
-"""Per-user ranking construction and nDCG scoring."""
+"""Ranks of each user's test items, and nDCG scoring over them."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -25,64 +24,34 @@ class MetricSpec:
         return f"ndcg@{self.cutoff}" if self.cutoff is not None else "ndcg"
 
 
-@dataclass(frozen=True)
-class RankedList:
-    user: str
-    order: tuple[str, ...]
+def rank_all(model, split: Split) -> dict[str, dict[str, int]]:
+    """For every test user, the 1-based rank of each of their test items.
 
-    @cached_property
-    def rank_of(self) -> dict[str, int]:
-        return {item: r for r, item in enumerate(self.order, start=1)}
-
-
-class RankingContext:
-    """Shared candidate universe for ranking every user of a Split.
-
-    Candidates are the union of train and test items; each user's train
-    items are excluded from their own ranking. Score ties are broken by
-    descending train popularity, then by item identifier.
+    Candidates are the union of train and test items minus the user's own
+    train items, ordered by descending score, then descending train
+    popularity, then item identifier. A test item the user also has in train
+    is not a candidate and gets no rank.
     """
-
-    def __init__(self, split: Split):
-        self.split = split
-        self.items: list[str] = sorted(
-            set(split.train.item_index) | set(split.test.item_index)
-        )
-        self._pos = {item: k for k, item in enumerate(self.items)}
-        self.popularity = np.array(
-            [split.train.item_counts.get(i, 0) for i in self.items], dtype=np.float64
-        )
-        self._train_items: dict[str, set[str]] = {}
-        for x in split.train.interactions:
-            self._train_items.setdefault(x.user, set()).add(x.item)
-        self._ids = np.arange(len(self.items))
-
-    def train_items(self, user: str) -> set[str]:
-        return self._train_items.get(user, set())
-
-    def rank(self, scores: np.ndarray, user: str) -> RankedList:
-        """Order the candidate items for one user given scores aligned to
-        self.items; the user's train items are dropped."""
-        excluded = self.train_items(user)
-        if excluded:
-            keep = np.ones(len(self.items), dtype=bool)
-            keep[[self._pos[i] for i in excluded]] = False
-            scores = scores[keep]
-            pop = self.popularity[keep]
-            ids = self._ids[keep]
-        else:
-            pop = self.popularity
-            ids = self._ids
-        # primary: score desc, then train popularity desc, then item id asc
-        order = np.lexsort((ids, -pop, -scores))
-        kept_items = [self.items[i] for i in ids]
-        return RankedList(user=user, order=tuple(kept_items[j] for j in order))
-
-
-def rank_all(model, split: Split) -> dict[str, RankedList]:
-    """Rankings for every test user of the split."""
-    ctx = RankingContext(split)
-    return {u: ctx.rank(model.score_array(u, ctx.items), u) for u in split.test.users}
+    items = sorted(set(split.train.item_index) | set(split.test.item_index))
+    pos = {item: k for k, item in enumerate(items)}
+    popularity = np.array([split.train.item_counts.get(i, 0) for i in items], dtype=np.float64)
+    ids = np.arange(len(items))
+    ranks = ids + 1
+    own_train: dict[str, list[int]] = {}
+    for x in split.train.interactions:
+        own_train.setdefault(x.user, []).append(pos[x.item])
+    test_items: dict[str, list[str]] = {}
+    for x in split.test.interactions:
+        test_items.setdefault(x.user, []).append(x.item)
+    rankings: dict[str, dict[str, int]] = {}
+    for u in split.test.users:
+        own = np.zeros(len(items), dtype=bool)
+        own[own_train.get(u, [])] = True
+        rank = np.empty(len(items), dtype=np.int64)
+        # the user's own train items sort behind every candidate
+        rank[np.lexsort((ids, -popularity, -model.score_array(u, items), own))] = ranks
+        rankings[u] = {i: int(rank[pos[i]]) for i in test_items[u] if not own[pos[i]]}
+    return rankings
 
 
 def ideal_dcg(n_relevant: int, cutoff: int | None) -> float:
@@ -98,12 +67,22 @@ def gain_at(rank: int | None, cutoff: int | None) -> float:
     return 1.0 / math.log2(rank + 1.0)
 
 
-def ndcg(ranked: RankedList, relevant_test_items: Iterable[str], spec: MetricSpec) -> float | None:
-    """Binary-gain nDCG@k; None when the user has no relevant test items."""
+def ndcg(
+    rank_of: Mapping[str, int],
+    relevant_test_items: Iterable[str],
+    spec: MetricSpec,
+    propensities: Mapping[str, float] | None = None,
+) -> float | None:
+    """Binary-gain nDCG@k from the ranks of the user's test items; None when
+    the user has no relevant test items. With propensities, each item's gain
+    is divided by its propensity (the IPS credit)."""
     rel = sorted(set(relevant_test_items))
     if not rel:
         return None
-    rank_of = ranked.rank_of
     # fsum: the score must not depend on the order the gains are added in
-    dcg = math.fsum(gain_at(rank_of.get(item), spec.cutoff) for item in rel)
+    dcg = math.fsum(
+        gain_at(rank_of.get(item), spec.cutoff)
+        / (1.0 if propensities is None else propensities[item])
+        for item in rel
+    )
     return dcg / ideal_dcg(len(rel), spec.cutoff)

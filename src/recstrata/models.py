@@ -184,6 +184,13 @@ class _FactorModel(Recommender):
         return P, Q
 
 
+def _add_rows(A: np.ndarray, rows: np.ndarray, V: np.ndarray) -> None:
+    """`np.add.at(A, rows, V)` on a C-contiguous `A` through numpy's faster 1-D loop;
+    each element takes its updates in the same order, so the result is bit-identical."""
+    k = A.shape[1]
+    np.add.at(A.reshape(-1), (rows[:, None] * k + np.arange(k)).ravel(), V.ravel())
+
+
 class MatrixFactorization(_FactorModel):
     """MF: biased matrix factorization trained by SGD on observed ratings."""
 
@@ -210,8 +217,8 @@ class MatrixFactorization(_FactorModel):
                 err = rb - (mu + bu[ub] + bi[ib] + np.einsum("nk,nk->n", Pu, Qi))
                 np.add.at(bu, ub, lr * (err - reg * bu[ub]))
                 np.add.at(bi, ib, lr * (err - reg * bi[ib]))
-                np.add.at(P, ub, lr * (err[:, None] * Qi - reg * Pu))
-                np.add.at(Q, ib, lr * (err[:, None] * Pu - reg * Qi))
+                _add_rows(P, ub, lr * (err[:, None] * Qi - reg * Pu))
+                _add_rows(Q, ib, lr * (err[:, None] * Pu - reg * Qi))
             self._check_finite((P, Q, bu, bi), epoch)
         self.mu_, self.bu_, self.bi_, self.P_, self.Q_ = mu, bu, bi, P, Q
 
@@ -251,9 +258,9 @@ class BPR(_FactorModel):
                 Pu, Qi, Qj = P[ub], Q[ib], Q[jb]
                 x = bi[ib] - bi[jb] + np.einsum("nk,nk->n", Pu, Qi - Qj)
                 g = 1.0 / (1.0 + np.exp(x))  # d/dx of -ln(sigmoid(x)), negated
-                np.add.at(P, ub, lr * (g[:, None] * (Qi - Qj) - reg * Pu))
-                np.add.at(Q, ib, lr * (g[:, None] * Pu - reg * Qi))
-                np.add.at(Q, jb, lr * (-g[:, None] * Pu - reg * Qj))
+                _add_rows(P, ub, lr * (g[:, None] * (Qi - Qj) - reg * Pu))
+                _add_rows(Q, ib, lr * (g[:, None] * Pu - reg * Qi))
+                _add_rows(Q, jb, lr * (-g[:, None] * Pu - reg * Qj))
                 np.add.at(bi, ib, lr * (g - reg * bi[ib]))
                 np.add.at(bi, jb, lr * (-g - reg * bi[jb]))
             self._check_finite((P, Q, bi), epoch)

@@ -23,6 +23,10 @@ class EstimationError(ValueError):
     pass
 
 
+# how to give every test item a propensity, for errors about one that has none
+COVERAGE_HINT = "fit propensities on the train and test logs concatenated"
+
+
 @dataclass(frozen=True)
 class GammaEstimate:
     gamma: float
@@ -36,14 +40,6 @@ class PropensityTable:
     scores: dict[str, float]
     gamma: GammaEstimate
     item_counts: dict[str, int]
-    normalization: str = "max_one"
-
-    def __post_init__(self):
-        if self.normalization != "max_one":
-            raise ValueError(f"unknown normalization {self.normalization!r}")
-
-    def __len__(self) -> int:
-        return len(self.scores)
 
 
 def _approximate_gamma(counts: np.ndarray, x_min: int) -> float:
@@ -121,7 +117,7 @@ def write_propensities(table: PropensityTable, stream: IO[str]) -> None:
     stream.write(
         f"# gamma={table.gamma.gamma!r} n_samples={table.gamma.n_samples}"
         f" x_min={table.gamma.x_min} method={table.gamma.method}"
-        f" normalization={table.normalization}\n"
+        " normalization=max_one\n"
     )
     for item in sorted(table.scores):
         stream.write(f"{item},{table.item_counts[item]},{table.scores[item]!r}\n")

@@ -77,21 +77,11 @@ class FeedbackLog:
 
     @property
     def closed_split(self) -> Split:
-        return Split(
-            train=self.closed_train,
-            test=self.closed_test,
-            seed=self.config.seed,
-            ratio=self.config.split_ratio,
-        )
+        return Split(train=self.closed_train, test=self.closed_test)
 
     @property
     def open_split(self) -> Split:
-        return Split(
-            train=self.closed_train,
-            test=self.open_test,
-            seed=self.config.seed,
-            ratio=self.config.split_ratio,
-        )
+        return Split(train=self.closed_train, test=self.open_test)
 
 
 @dataclass(frozen=True)

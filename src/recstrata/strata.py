@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import IO
 
 from .corpus import Dataset
-from .propensity import PropensityTable
+from .propensity import COVERAGE_HINT, PropensityTable
 
 
 class AssignmentError(ValueError):
@@ -21,7 +21,6 @@ class StrataAssignment:
     K: int
     stratum_of: dict[str, int]
     mass: dict[int, float]
-    boundaries: list[float]
 
     def items_in(self, stratum: int) -> set[str]:
         return {i for i, s in self.stratum_of.items() if s == stratum}
@@ -57,7 +56,6 @@ def assign_strata(propensities: PropensityTable, K: int) -> StrataAssignment:
 
     stratum_of: dict[str, int] = {}
     mass: dict[int, float] = {}
-    boundaries: list[float] = []
     idx = 0
     cum = 0.0
     start = 0
@@ -73,12 +71,11 @@ def assign_strata(propensities: PropensityTable, K: int) -> StrataAssignment:
         for i in range(start, idx):
             stratum_of[items[i]] = s
         mass[s] = sum(p[start:idx])
-        boundaries.append(p[idx - 1])
         start = idx
     for i in range(start, n):
         stratum_of[items[i]] = K
     mass[K] = sum(p[start:])
-    return StrataAssignment(K=K, stratum_of=stratum_of, mass=mass, boundaries=boundaries)
+    return StrataAssignment(K=K, stratum_of=stratum_of, mass=mass)
 
 
 def stratum_weights(assignment: StrataAssignment, reference: Dataset) -> StratumWeights:
@@ -87,7 +84,7 @@ def stratum_weights(assignment: StrataAssignment, reference: Dataset) -> Stratum
     for x in reference.interactions:
         s = assignment.stratum_of.get(x.item)
         if s is None:
-            raise AssignmentError(f"item {x.item!r} in reference has no stratum")
+            raise AssignmentError(f"item {x.item!r} in reference has no stratum; {COVERAGE_HINT}")
         counts[s] += 1
     total = sum(counts.values())
     if total == 0:

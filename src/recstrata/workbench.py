@@ -85,6 +85,18 @@ class ModelEvaluation:
     reports: dict[str, EvalReport]
 
 
+def check_request(methods: Sequence[str], ks: Sequence[int]) -> None:
+    """Raise ValueError for a request that names an unknown method or would
+    evaluate nothing."""
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown evaluation method {m!r}; choose from {', '.join(METHODS)}")
+    if not methods:
+        raise ValueError(f"no evaluation method given; choose from {', '.join(METHODS)}")
+    if "stratified" in methods and not ks:
+        raise ValueError("stratified evaluation needs at least one strata count K")
+
+
 def evaluate_models(
     models: Sequence[Recommender],
     split: Split,
@@ -103,9 +115,7 @@ def evaluate_models(
     method, and carry paired t-test markers against `baseline` from
     `report_records`.
     """
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown evaluation method {m!r}")
+    check_request(methods, ks)
     if ("ips" in methods or "stratified" in methods) and propensities is None:
         raise EvaluationError(
             "this evaluation needs a propensity table; run propensity fitting first"

@@ -14,9 +14,9 @@ from recstrata.evaluators import (
     per_stratum_eval,
     stratified_eval,
 )
-from recstrata.metrics import MetricSpec, RankedList
+from recstrata.metrics import MetricSpec
 from recstrata.propensity import GammaEstimate, PropensityTable
-from recstrata.strata import StrataAssignment, StratumWeights, assign_strata
+from recstrata.strata import AssignmentError, StratumWeights, assign_strata
 
 
 def make_test(rows, threshold=4):
@@ -26,7 +26,10 @@ def make_test(rows, threshold=4):
 
 
 def rankings_for(order_by_user):
-    return {u: RankedList(user=u, order=tuple(order)) for u, order in order_by_user.items()}
+    return {
+        u: {item: r for r, item in enumerate(order, start=1)}
+        for u, order in order_by_user.items()
+    }
 
 
 def unit_propensities(test):
@@ -122,7 +125,8 @@ class TestIps:
         table = PropensityTable(
             scores={"zz": 1.0}, gamma=GammaEstimate(2.0, 1), item_counts={"zz": 1}
         )
-        with pytest.raises(EvaluationError, match="'a'"):
+        # the message keeps its leading text and says how to fit a table that covers the test
+        with pytest.raises(EvaluationError, match="^no propensity for test item 'a'; .*concatenated"):
             ips_eval(rankings_for({"u1": ["a"]}), test, table, SPEC)
 
     def test_zero_propensity_is_an_error(self):
@@ -176,6 +180,13 @@ class TestPerStratum:
         asg = assign_strata(two_strata_table(test), 2)
         per = per_stratum_eval(rankings, test, asg, SPEC)
         assert sum(r.interaction_count for r in per.values()) == len(test)
+
+    def test_item_without_stratum_is_an_assignment_error(self):
+        test = make_test([("u1", "a", 5), ("u1", "new", 5)])
+        table = two_strata_table(make_test([("u1", "a", 5), ("u1", "z", 5)]))
+        asg = assign_strata(table, 2)
+        with pytest.raises(AssignmentError, match="'new'.*concatenated"):
+            per_stratum_eval(rankings_for({"u1": ["a", "new"]}), test, asg, SPEC)
 
     def test_single_user_stratum_is_low_support(self):
         result = StratumResult(value=0.3, weight=0.5, user_count=1, interaction_count=4)

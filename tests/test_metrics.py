@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from recstrata.corpus import Dataset, Interaction, Split
 from recstrata.metrics import (
     MetricSpec,
-    RankedList,
     gain_at,
     ideal_dcg,
     ndcg,
@@ -28,19 +27,25 @@ class StubModel:
 def make_split(train_rows, test_rows):
     train = Dataset.from_interactions([Interaction(u, i, r) for u, i, r in train_rows])
     test = Dataset.from_interactions([Interaction(u, i, r) for u, i, r in test_rows])
-    return Split(train=train, test=test, seed=0, ratio=0.8)
+    return Split(train=train, test=test)
+
+
+def ranking(order):
+    """The ranking that lists `order` from the top."""
+    return {item: r for r, item in enumerate(order, start=1)}
 
 
 class TestBuildRanking:
     def test_sorts_by_descending_score(self):
         split = make_split([("u2", "a", 5)], [("u1", "a", 5), ("u1", "b", 5), ("u1", "c", 5)])
         ranked = rank_all(StubModel({"a": 0.9, "b": 0.1, "c": 0.5}), split)["u1"]
-        assert ranked.order == ("a", "c", "b")
+        assert ranked == {"a": 1, "c": 2, "b": 3}
 
     def test_train_items_excluded(self):
-        split = make_split([("u1", "b", 5)], [("u1", "a", 5), ("u1", "c", 5)])
+        split = make_split([("u1", "b", 5)], [("u1", "a", 5), ("u1", "b", 5), ("u1", "c", 5)])
         ranked = rank_all(StubModel({"a": 0.9, "b": 1.0, "c": 0.5}), split)["u1"]
-        assert "b" not in ranked.order
+        # b outscores both, but is the user's own train item: no rank, no place
+        assert ranked == {"a": 1, "c": 2}
 
     def test_score_ties_fall_back_to_train_popularity(self):
         split = make_split(
@@ -48,17 +53,13 @@ class TestBuildRanking:
             [("u1", "a", 5), ("u1", "b", 5), ("u1", "c", 5)],
         )
         ranked = rank_all(StubModel({}), split)["u1"]
-        assert ranked.order == ("b", "c", "a")
+        assert ranked == {"b": 1, "c": 2, "a": 3}
 
     def test_full_tie_falls_back_to_item_id(self):
         split = make_split([("u2", "z", 5)], [("u1", "a", 5), ("u1", "b", 5)])
         ranked = rank_all(StubModel({}), split)["u1"]
-        # z has popularity 1, then a/b alphabetical
-        assert ranked.order == ("z", "a", "b")
-
-    def test_rank_of_inverts_order(self):
-        ranked = RankedList(user="u", order=("c", "a", "b"))
-        assert ranked.rank_of == {"c": 1, "a": 2, "b": 3}
+        # z has popularity 1 and takes rank 1, then a/b alphabetical
+        assert ranked == {"a": 2, "b": 3}
 
     def test_rank_all_covers_test_users(self):
         split = make_split([("u1", "a", 5)], [("u1", "b", 5), ("u2", "a", 5)])
@@ -66,30 +67,62 @@ class TestBuildRanking:
         assert set(rankings) == {"u1", "u2"}
 
 
+USERS = ["u1", "u2", "u3"]
+ITEMS = ["a", "b", "c", "d", "e"]
+PAIRS = st.lists(st.tuples(st.sampled_from(USERS), st.sampled_from(ITEMS)), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    train=PAIRS,
+    test=PAIRS.filter(bool),
+    scores=st.dictionaries(st.sampled_from(ITEMS), st.sampled_from([-1.0, 0.0, 0.5])),
+)
+def test_rank_all_matches_brute_force(train, test, scores):
+    # few users, items and score values, so that score and popularity ties are common
+    split = make_split([(u, i, 5) for u, i in train], [(u, i, 5) for u, i in test])
+    rankings = rank_all(StubModel(scores), split)
+    assert set(rankings) == set(split.test.user_index)
+    candidates = set(split.train.item_index) | set(split.test.item_index)
+    popularity = split.train.item_counts
+    for u, ranked in rankings.items():
+        own = {x.item for x in split.train.interactions if x.user == u}
+        order = sorted(
+            candidates - own, key=lambda i: (-scores.get(i, 0.0), -popularity.get(i, 0), i)
+        )
+        tested = {x.item for x in split.test.interactions if x.user == u}
+        assert ranked == {i: order.index(i) + 1 for i in tested - own}
+        assert not own & set(ranked)
+
+
 class TestNdcg:
     def test_perfect_ranking(self):
-        ranked = RankedList(user="u", order=("a", "b", "c"))
-        assert ndcg(ranked, {"a"}, MetricSpec(cutoff=5)) == 1.0
+        assert ndcg(ranking(("a", "b", "c")), {"a"}, MetricSpec(cutoff=5)) == 1.0
 
     def test_single_relevant_at_rank_two(self):
-        ranked = RankedList(user="u", order=("b", "a", "c"))
-        value = ndcg(ranked, {"a"}, MetricSpec(cutoff=5))
+        value = ndcg(ranking(("b", "a", "c")), {"a"}, MetricSpec(cutoff=5))
         assert value == pytest.approx(1.0 / math.log2(3.0), abs=1e-4)
         assert value == pytest.approx(0.6309, abs=1e-4)
 
     def test_no_relevant_in_cutoff(self):
         order = tuple(f"i{k}" for k in range(10))
-        ranked = RankedList(user="u", order=order)
-        assert ndcg(ranked, {"i9"}, MetricSpec(cutoff=5)) == 0.0
+        assert ndcg(ranking(order), {"i9"}, MetricSpec(cutoff=5)) == 0.0
 
     def test_no_relevant_items_is_undefined(self):
-        ranked = RankedList(user="u", order=("a", "b"))
-        assert ndcg(ranked, set(), MetricSpec()) is None
+        assert ndcg(ranking(("a", "b")), set(), MetricSpec()) is None
 
     def test_relevant_item_missing_from_order_earns_nothing(self):
-        ranked = RankedList(user="u", order=("a", "b"))
-        value = ndcg(ranked, {"a", "zz"}, MetricSpec())
+        value = ndcg(ranking(("a", "b")), {"a", "zz"}, MetricSpec())
         assert value == pytest.approx(1.0 / ideal_dcg(2, None))
+
+    def test_propensities_divide_each_gain(self):
+        ranked = ranking(("b", "a", "c"))
+        spec = MetricSpec(cutoff=5)
+        weighted = ndcg(ranked, {"a", "b"}, spec, {"a": 0.5, "b": 1.0})
+        expected = (1.0 + 1.0 / math.log2(3.0) / 0.5) / ideal_dcg(2, 5)
+        assert weighted == pytest.approx(expected)
+        unit = ndcg(ranked, {"a", "b"}, spec, {"a": 1.0, "b": 1.0})
+        assert unit == ndcg(ranked, {"a", "b"}, spec)
 
     def test_gain_at_cutoff_boundary(self):
         assert gain_at(5, 5) == pytest.approx(1.0 / math.log2(6.0))
@@ -124,9 +157,8 @@ def test_small_instance_oracle(n, rel_mask, cutoff, seed):
     items = [f"i{k}" for k in range(n)]
     order = tuple(rng.permutation(items))
     relevant = {items[k] for k in range(n) if rel_mask[k % len(rel_mask)]}
-    ranked = RankedList(user="u", order=order)
     spec = MetricSpec(cutoff=cutoff)
-    value = ndcg(ranked, relevant, spec)
+    value = ndcg(ranking(order), relevant, spec)
     if not relevant:
         assert value is None
     else:
@@ -142,7 +174,7 @@ def test_promoting_a_relevant_item_never_hurts(n, seed, cutoff):
     order = list(rng.permutation(items))
     relevant = set(rng.choice(items, size=rng.integers(1, n + 1), replace=False))
     spec = MetricSpec(cutoff=cutoff)
-    before = ndcg(RankedList(user="u", order=tuple(order)), relevant, spec)
+    before = ndcg(ranking(order), relevant, spec)
     # move one relevant item up a position
     ranks = [k for k, i in enumerate(order) if i in relevant and k > 0]
     if not ranks:
@@ -151,5 +183,5 @@ def test_promoting_a_relevant_item_never_hurts(n, seed, cutoff):
     if order[k - 1] in relevant:
         return  # swapping two relevant items changes nothing ordering-wise
     order[k - 1], order[k] = order[k], order[k - 1]
-    after = ndcg(RankedList(user="u", order=tuple(order)), relevant, spec)
+    after = ndcg(ranking(order), relevant, spec)
     assert after >= before - 1e-12

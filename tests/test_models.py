@@ -9,6 +9,7 @@ from recstrata.models import (
     fit,
     load_model,
     save_model,
+    _add_rows,
     sweep,
 )
 
@@ -115,6 +116,17 @@ class TestFactorModels:
             s1 = fit(cfg, SMALL).score("u1")
             s2 = fit(cfg, SMALL).score("u1")
             assert s1 == s2, alg
+
+    def test_row_updates_match_add_at_bit_for_bit(self):
+        # many repeated rows, so each element takes a long chain of updates
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, 7, 500)
+        updates = rng.standard_normal((500, 5))
+        start = rng.standard_normal((7, 5))
+        expected, got = start.copy(), start.copy()
+        np.add.at(expected, rows, updates)
+        _add_rows(got, rows, updates)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestScoring:

@@ -106,5 +106,5 @@ class TestStratumWeights:
 
     def test_unassigned_item_is_an_error(self):
         asg = assign_strata(table({"a": 1.0, "b": 0.5}), 2)
-        with pytest.raises(AssignmentError, match="zzz"):
+        with pytest.raises(AssignmentError, match="'zzz'.*concatenated"):
             stratum_weights(asg, self.make_reference({"zzz": 1}))

@@ -267,6 +267,36 @@ class TestCli:
             # models x cutoffs x (holdout, ips, stratified K=1, stratified K=2)
             assert len(read_records(f)) == 3 * 2 * 4
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--methods", ""], "no evaluation method"),
+            (["--methods", "stratified", "--k", ""], "strata count"),
+            (["--methods", "foo"], "'foo'"),
+        ],
+        ids=["no_method", "no_k", "unknown_method"],
+    )
+    def test_evaluating_nothing_is_a_usage_error(self, workdir, capsys, monkeypatch,
+                                                 options, message):
+        assert run_cli("simulate", "--config", "sim.json", "--out-dir", "sim") == 0
+        assert run_cli("propensity", "--train", "sim/closed_train.csv", "--out", "prop.csv") == 0
+        fitted = []
+        fit = recstrata.models.fit
+
+        def counting_fit(config, train):
+            fitted.append(config.algorithm)
+            return fit(config, train)
+
+        monkeypatch.setattr(recstrata.models, "fit", counting_fit)
+        capsys.readouterr()
+        assert run_cli(
+            "evaluate", "--train", "sim/closed_train.csv", "--test", "sim/closed_test.csv",
+            "--models", "POP", "--propensities", "prop.csv", *options, "--out", "x.jsonl",
+        ) == 1
+        assert message in capsys.readouterr().err
+        assert fitted == []
+        assert not (workdir / "x.jsonl").exists()
+
     def test_report_checks_every_k(self, workdir, capsys):
         # a reversal at K=2, none at K=3, the last K in the file
         def stratified(model, K, strata):
