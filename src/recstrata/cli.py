@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import corpus, models, propensity, simulator, strata, stats, workbench
+from . import corpus, models, propensity, simulator, strata, workbench
 from .evaluators import EvaluationError
 from .metrics import MetricSpec
 from .models import FitError, ModelConfig
@@ -76,7 +76,6 @@ def cmd_ingest(args) -> int:
         ds = corpus.parse_interactions(
             f, schema=schema, delimiter=args.delimiter, loop_kind=corpus.LoopKind(args.loop)
         )
-    ds = corpus.binarize(ds, args.threshold)
     out = _resolve(args.out)
     _write_dataset(ds, out)
     workbench.write_manifest(
@@ -266,17 +265,6 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _scores_by_model(records: list[dict], method: str, K=None, cutoff=None) -> dict[str, float]:
-    out = {}
-    for rec in records:
-        if rec["method"] != method or rec.get("cutoff") != cutoff:
-            continue
-        if K is not None and rec.get("K") not in (None, K):
-            continue
-        out[rec["model"]] = rec["overall"]
-    return out
-
-
 def cmd_compare(args) -> int:
     with open(_resolve(args.open_report), encoding="utf-8") as f:
         open_records = workbench.read_records(f)
@@ -284,52 +272,7 @@ def cmd_compare(args) -> int:
     for path in args.reports:
         with open(_resolve(path), encoding="utf-8") as f:
             closed_records.extend(workbench.read_records(f))
-
-    rows = []
-    scatter_rows = []
-    for cutoff in workbench.cutoffs_in(closed_records):
-        open_scores = _scores_by_model(open_records, args.open_method, cutoff=cutoff)
-        base_scores = _scores_by_model(closed_records, args.baseline_method, cutoff=cutoff)
-        groups = sorted(
-            {
-                (rec["method"], rec.get("K"))
-                for rec in closed_records
-                if rec.get("cutoff") == cutoff and rec["method"] != args.baseline_method
-            },
-            key=str,
-        )
-        for method, K in groups:
-            method_scores = _scores_by_model(closed_records, method, K=K, cutoff=cutoff)
-            common = sorted(set(open_scores) & set(base_scores) & set(method_scores))
-            if len(common) < 4:
-                continue
-            x = [open_scores[m] for m in common]
-            y = [base_scores[m] for m in common]
-            z = [method_scores[m] for m in common]
-            report = stats.compare_rankings(x, y, z, strict=False)
-            rows.append(
-                {
-                    "cutoff": cutoff,
-                    "baseline_method": args.baseline_method,
-                    "method": method,
-                    "K": K,
-                    "n_models": report.n,
-                    "tau_open_baseline": report.tau_xy,
-                    "tau_open_method": report.tau_xz,
-                    "tau_baseline_method": report.tau_yz,
-                    "steiger_z": report.steiger_z,
-                    "p": report.p,
-                    "significant": (
-                        None if report.p is None
-                        else bool(report.p < workbench.SIGNIFICANCE_ALPHA)
-                    ),
-                }
-            )
-            if args.scatter and method == args.scatter_method:
-                slope, intercept = stats.linear_fit(x, z)
-                for m in common:
-                    scatter_rows.append((cutoff, m, open_scores[m], method_scores[m]))
-                scatter_rows.append((cutoff, "__fit__", slope, intercept))
+    rows, scatter_rows = workbench.correlation_rows(closed_records, open_records)
     out = _resolve(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as f:
@@ -347,7 +290,7 @@ def cmd_report(args) -> int:
     with open(_resolve(args.report), encoding="utf-8") as f:
         records = workbench.read_records(f)
     workbench.write_table(records, sys.stdout)
-    flagged = workbench.simpson_flags(records, args.dominant_weight)
+    flagged = workbench.simpson_flags(records)
     for flag in flagged:
         print(
             f"SIMPSON at {MetricSpec(cutoff=flag['cutoff']).label}, K={flag['K']}: "
@@ -372,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--user-col", type=int, default=0)
     p.add_argument("--item-col", type=int, default=1)
     p.add_argument("--rating-col", type=int, default=2)
-    p.add_argument("--threshold", type=int, default=4)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("simulate", help="generate closed/open loop feedback")
@@ -427,16 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="rank correlations against an open-loop report")
     p.add_argument("--reports", nargs="+", required=True)
     p.add_argument("--open-report", required=True)
-    p.add_argument("--open-method", default="holdout")
-    p.add_argument("--baseline-method", default="holdout")
     p.add_argument("--scatter", help="TSV path for per-model open/closed scatter data")
-    p.add_argument("--scatter-method", default="stratified")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("report", help="print a stored evaluation report")
     p.add_argument("--report", required=True)
-    p.add_argument("--dominant-weight", type=float, default=0.9)
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -6,11 +6,11 @@ import dataclasses
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
-from .corpus import Dataset, Split
+from .corpus import Split
 from .evaluators import (
     EvalReport,
     EvaluationError,
@@ -23,10 +23,13 @@ from .evaluators import (
 from .metrics import MetricSpec, rank_all
 from .models import Recommender
 from .propensity import PropensityTable
+from .stats import compare_rankings, linear_fit
 from .strata import StrataAssignment, StratumWeights, assign_strata, stratum_weights
 
 METHODS = ("holdout", "ips", "stratified")
 SIGNIFICANCE_ALPHA = 0.05
+BASELINE = "holdout"  # the open-loop truth's method and every method's closed rival
+MIN_MODELS = 4  # Steiger's test needs at least four ranked models
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,8 @@ def check_request(methods: Sequence[str], ks: Sequence[int]) -> None:
         raise ValueError(f"no evaluation method given; choose from {', '.join(METHODS)}")
     if "stratified" in methods and not ks:
         raise ValueError("stratified evaluation needs at least one strata count K")
+    if "stratified" in methods and min(ks) < 1:
+        raise ValueError(f"strata count K must be >= 1, got {min(ks)}")
 
 
 def evaluate_models(
@@ -239,26 +244,74 @@ def cutoffs_in(records: Iterable[Mapping]) -> list[int | None]:
     return sorted({rec.get("cutoff") for rec in records}, key=lambda c: (c is None, c))
 
 
+def _groups(records: Iterable[Mapping]) -> dict[tuple, dict[str, Mapping]]:
+    """Records by (cutoff, method, K), then by model; a later record for a
+    model replaces an earlier one."""
+    groups: dict[tuple, dict[str, Mapping]] = {}
+    for rec in records:
+        groups.setdefault((rec.get("cutoff"), rec["method"], rec.get("K")), {})[rec["model"]] = rec
+    return groups
+
+
+def correlation_rows(
+    closed_records: Sequence[Mapping], open_records: Sequence[Mapping]
+) -> tuple[list[dict], list[tuple]]:
+    """Score each closed-loop method against the open-loop holdout.
+
+    One row per (cutoff, method, K) group of the closed records other than
+    the closed holdout: Kendall tau-b of the open-loop holdout scores with
+    the closed holdout's and with the group's, and Steiger's test of the
+    difference, over the models all three hold. A group with fewer than
+    MIN_MODELS such models is skipped. Each stratified group also gives
+    scatter rows (cutoff, model, open score, closed score), then
+    (cutoff, "__fit__", slope, intercept)."""
+    closed, opened = _groups(closed_records), _groups(open_records)
+    rows, scatter_rows = [], []
+    for cutoff in cutoffs_in(closed_records):
+        truth = opened.get((cutoff, BASELINE, None), {})
+        base = closed.get((cutoff, BASELINE, None), {})
+        keys = [key for key in closed if key[0] == cutoff and key[1] != BASELINE]
+        # ordered by the text of (method, K), so K=10 comes between K=1 and K=2
+        for _, method, K in sorted(keys, key=lambda key: str(key[1:])):
+            scores = closed[cutoff, method, K]
+            common = sorted(set(truth) & set(base) & set(scores))
+            if len(common) < MIN_MODELS:
+                continue
+            x, y, z = ([group[m]["overall"] for m in common] for group in (truth, base, scores))
+            report = compare_rankings(x, y, z, strict=False)
+            rows.append({
+                "cutoff": cutoff,
+                "baseline_method": BASELINE,
+                "method": method,
+                "K": K,
+                "n_models": report.n,
+                "tau_open_baseline": report.tau_xy,
+                "tau_open_method": report.tau_xz,
+                "tau_baseline_method": report.tau_yz,
+                "steiger_z": report.steiger_z,
+                "p": report.p,
+                "significant": None if report.p is None else bool(report.p < SIGNIFICANCE_ALPHA),
+            })
+            if method == "stratified":
+                scatter_rows += [(cutoff, m, xm, zm) for m, xm, zm in zip(common, x, z)]
+                scatter_rows.append((cutoff, "__fit__", *linear_fit(x, z)))
+    return rows, scatter_rows
+
+
 def simpson_flags(records: Sequence[Mapping], dominant_weight: float = 0.9) -> list[dict]:
     """Model pairs where the holdout winner loses in a stratum carrying at
     least `dominant_weight` of the test feedback, checked at every cutoff and
     every K of the stratified records."""
+    groups = _groups(records)
     flags = []
     for cutoff in cutoffs_in(records):
-        holdout: dict[str, float] = {}
-        stratified: dict[int, dict[str, Mapping]] = {}
-        for rec in records:
-            if rec.get("cutoff") != cutoff:
-                continue
-            if rec["method"] == "holdout":
-                holdout[rec["model"]] = rec["overall"]
-            elif rec["method"] == "stratified":
-                stratified.setdefault(rec["K"], {})[rec["model"]] = rec
-        for K, by_model in sorted(stratified.items()):
+        holdout = groups.get((cutoff, "holdout", None), {})
+        for K in sorted(K for c, method, K in groups if c == cutoff and method == "stratified"):
+            by_model = groups[cutoff, "stratified", K]
             labels = sorted(set(holdout) & set(by_model))
             for a in labels:
                 for b in labels:
-                    if a == b or holdout[a] <= holdout[b]:
+                    if a == b or holdout[a]["overall"] <= holdout[b]["overall"]:
                         continue
                     for s, ra in by_model[a]["per_stratum"].items():
                         rb = by_model[b]["per_stratum"][s]
@@ -268,14 +321,7 @@ def simpson_flags(records: Sequence[Mapping], dominant_weight: float = 0.9) -> l
                             and rb["value"] is not None
                             and ra["value"] < rb["value"]
                         ):
-                            flags.append(
-                                {
-                                    "cutoff": cutoff,
-                                    "K": K,
-                                    "holdout_winner": a,
-                                    "stratum_winner": b,
-                                    "stratum": s,
-                                    "stratum_weight": ra["weight"],
-                                }
-                            )
+                            flags.append({"cutoff": cutoff, "K": K, "holdout_winner": a,
+                                          "stratum_winner": b, "stratum": s,
+                                          "stratum_weight": ra["weight"]})
     return flags

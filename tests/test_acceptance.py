@@ -31,7 +31,7 @@ from recstrata.propensity import (
 from recstrata.simulator import SimConfig, generate
 from recstrata.stats import kendall_tau_b, steiger_test
 from recstrata.strata import StratumWeights, assign_strata, stratum_weights
-from recstrata.workbench import evaluate_models, simpson_flags
+from recstrata.workbench import correlation_rows, evaluate_models, simpson_flags
 
 SPEC = MetricSpec()
 
@@ -218,7 +218,6 @@ def test_criterion_08_aggregation_reversal_appears_under_exposure_skew():
                       deployed_policy="popularity_biased", seed=seed)
         )
         table = tail_quantile_propensities(log)
-        base = ModelConfig("POP", epochs=30, seed=seed)
         models = [fit(ModelConfig(a, epochs=30, seed=seed), log.closed_train)
                   for a in ("BO", "GA", "POP")]
         models += [
@@ -263,31 +262,19 @@ def open_loop_agreement():
         )
         closed = full_closed_log(log)
         table = estimate_propensities(closed, fit_gamma(closed.item_counts))
-        assignments = {K: assign_strata(table, K) for K in tau_strat}
-        weights_by_k = {
-            K: stratum_weights(assignments[K], log.closed_test) for K in tau_strat
-        }
         base = ModelConfig("POP", epochs=15, seed=seed)
         models = sweep(ALGORITHMS, SWEEP_SIZES, log.closed_train, base)
-        hold, open_hold = {}, {}
-        strat = {K: {} for K in tau_strat}
-        for model in models:
-            closed_rankings = rank_all(model, log.closed_split)
-            open_rankings = rank_all(model, log.open_split)
-            hold[model.label] = holdout_eval(closed_rankings, log.closed_test, spec).overall
-            open_hold[model.label] = holdout_eval(open_rankings, log.open_test, spec).overall
-            for K in tau_strat:
-                per = per_stratum_eval(
-                    closed_rankings, log.closed_test, assignments[K], spec
-                )
-                strat[K][model.label] = stratified_eval(per, weights_by_k[K], spec).overall
-        labels = sorted(hold)
-        truth = [open_hold[label] for label in labels]
-        tau_holdout.append(kendall_tau_b(truth, [hold[label] for label in labels]))
-        for K in tau_strat:
-            tau_strat[K].append(
-                kendall_tau_b(truth, [strat[K][label] for label in labels])
-            )
+        closed_records = evaluate_models(
+            models, log.closed_split, [spec],
+            methods=["holdout", "stratified"], ks=list(tau_strat), propensities=table,
+        )
+        open_records = evaluate_models(models, log.open_split, [spec])
+        rows, _ = correlation_rows(closed_records, open_records)
+        assert [row["K"] for row in rows] == sorted(tau_strat, key=str)
+        assert {row["n_models"] for row in rows} == {len(models)}
+        tau_holdout.append(rows[0]["tau_open_baseline"])
+        for row in rows:
+            tau_strat[row["K"]].append(row["tau_open_method"])
     return tau_holdout, tau_strat
 
 
@@ -324,13 +311,12 @@ def test_criterion_11_factor_models_beat_the_random_baseline():
                       relevance_quantile=0.2, deployed_policy="popularity_biased",
                       seed=seed)
         )
-        values = {}
-        for name, config in configs.items():
-            model = fit(replace(config, seed=seed), log.closed_train)
-            rankings = rank_all(model, log.closed_split)
-            values[name] = holdout_eval(rankings, log.closed_test, spec).overall
+        fitted = {name: fit(replace(config, seed=seed), log.closed_train)
+                  for name, config in configs.items()}
+        records = evaluate_models(list(fitted.values()), log.closed_split, [spec])
+        values = {rec["model"]: rec["overall"] for rec in records}
         for name in wins:
-            wins[name] += values[name] > values["BO"]
+            wins[name] += values[fitted[name].label] > values[fitted["BO"].label]
     for name, count in wins.items():
         assert count >= 0.95 * len(list(seeds)), f"{name} beat BO in only {count}/20 seeds"
 

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,9 @@ from recstrata.metrics import MetricSpec
 from recstrata.models import ModelConfig, fit
 from recstrata.propensity import estimate_propensities, fit_gamma
 from recstrata.simulator import SimConfig, generate
+from recstrata.stats import kendall_tau_b, linear_fit
 from recstrata.workbench import (
+    correlation_rows,
     evaluate_models,
     read_records,
     sha256_file,
@@ -118,6 +121,66 @@ class TestRecords:
         for flag in simpson_flags(records, dominant_weight=0.5):
             assert flag["holdout_winner"] != flag["stratum_winner"]
             assert flag["stratum_weight"] >= 0.5
+
+
+def record(model, method, overall, K=None, cutoff=None):
+    return {"model": model, "method": method, "metric": "ndcg", "cutoff": cutoff, "K": K,
+            "overall": overall}
+
+
+class TestCorrelationRows:
+    # open-loop truth for A..D at the full list; E's only open record is at
+    # cutoff 10, so no group at the full list can use E
+    OPEN = [record(m, "holdout", v) for m, v in zip("ABCD", (0.5, 0.4, 0.3, 0.2))]
+    OPEN += [record("E", "holdout", 0.9, cutoff=10)]
+    STRATIFIED = {1: (0.1, 0.2, 0.3, 0.4, 0.5), 2: (0.5, 0.3, 0.4, 0.2, 0.1),
+                  10: (0.2, 0.1, 0.4, 0.3, 0.5)}
+
+    def closed(self):
+        records = [record(m, "holdout", v) for m, v in zip("ABCDE", (0.1, 0.3, 0.2, 0.4, 0.5))]
+        records += [record(m, "ips", v) for m, v in zip("ABCDE", (0.4, 0.3, 0.1, 0.2, 0.0))]
+        for K, values in self.STRATIFIED.items():
+            records += [record(m, "stratified", v, K=K) for m, v in zip("ABCDE", values)]
+        # three models only: too few for a row
+        records += [record(m, "stratified", v, K=3) for m, v in zip("ABC", (0.3, 0.2, 0.1))]
+        return records
+
+    def test_rows_come_ips_then_stratified_k_by_its_text(self):
+        rows, _ = correlation_rows(self.closed(), self.OPEN)
+        assert [(r["cutoff"], r["method"], r["K"]) for r in rows] == [
+            (None, "ips", None), (None, "stratified", 1), (None, "stratified", 10),
+            (None, "stratified", 2),
+        ]
+        assert {r["baseline_method"] for r in rows} == {"holdout"}
+
+    def test_open_records_at_another_cutoff_are_not_used(self):
+        rows, scatter = correlation_rows(self.closed(), self.OPEN)
+        assert {r["n_models"] for r in rows} == {4}
+        assert "E" not in {row[1] for row in scatter}
+        truth = [0.5, 0.4, 0.3, 0.2]
+        assert rows[0]["tau_open_baseline"] == kendall_tau_b(truth, [0.1, 0.3, 0.2, 0.4])
+        assert rows[0]["tau_open_method"] == kendall_tau_b(truth, [0.4, 0.3, 0.1, 0.2])
+
+    def test_a_later_record_replaces_an_earlier_one(self):
+        # as when `compare --reports` reads two files that both hold A at K=2
+        rows, scatter = correlation_rows(
+            self.closed() + [record("A", "stratified", 0.05, K=2)], self.OPEN
+        )
+        k2 = [row for row in scatter if row[1] == "A"][2]
+        assert k2 == (None, "A", 0.5, 0.05)
+        assert rows[3]["tau_open_method"] == kendall_tau_b(
+            [0.5, 0.4, 0.3, 0.2], [0.05, 0.3, 0.4, 0.2]
+        )
+
+    def test_each_stratified_group_ends_its_scatter_rows_with_the_fit(self):
+        _, scatter = correlation_rows(self.closed(), self.OPEN)
+        truth = [0.5, 0.4, 0.3, 0.2]
+        expected = []
+        for K in (1, 10, 2):
+            closed = list(self.STRATIFIED[K][:4])
+            expected += [(None, m, x, z) for m, x, z in zip("ABCD", truth, closed)]
+            expected.append((None, "__fit__", *linear_fit(truth, closed)))
+        assert scatter == expected
 
 
 class TestManifest:
@@ -273,8 +336,9 @@ class TestCli:
             (["--methods", ""], "no evaluation method"),
             (["--methods", "stratified", "--k", ""], "strata count"),
             (["--methods", "foo"], "'foo'"),
+            (["--methods", "stratified", "--k", "0"], "K must be >= 1, got 0"),
         ],
-        ids=["no_method", "no_k", "unknown_method"],
+        ids=["no_method", "no_k", "unknown_method", "k_zero"],
     )
     def test_evaluating_nothing_is_a_usage_error(self, workdir, capsys, monkeypatch,
                                                  options, message):
@@ -353,3 +417,24 @@ class TestCli:
         assert run_cli("stratify", "--propensities", "prop.csv", "--out", "strata.csv") == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and line in err
+
+
+def readme_cli_tour():
+    """The `recstrata` commands of the README's CLI tour, one argv each."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Quick tour (CLI)", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = tour.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.startswith("recstrata ")]
+
+
+def test_readme_cli_tour_parses():
+    commands = readme_cli_tour()
+    assert [argv[1] for argv in commands] == [
+        "simulate", "propensity", "stratify", "evaluate", "evaluate", "compare", "report"
+    ]
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
