@@ -65,7 +65,7 @@ def _config(args) -> dict:
 
 def _summary(ds: corpus.Dataset) -> str:
     return (
-        f"{len(ds.user_index)} users, {len(ds.item_index)} items, "
+        f"{len(ds.users)} users, {len(ds.items)} items, "
         f"{len(ds)} interactions ({ds.loop_kind.value} loop)"
     )
 

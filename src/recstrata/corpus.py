@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import IO, Iterable, Sequence
@@ -53,75 +53,87 @@ class ColumnSchema:
 
 
 class Dataset:
-    """An immutable, indexed collection of user-item interactions.
+    """An interaction log, held once as columns sorted by (user, item).
 
-    (user, item) pairs are unique; indices map the opaque identifiers to
-    contiguous integers in sorted-identifier order.
+    `users` and `items` are the distinct identifiers, sorted; row r says user
+    `users[user_ids[r]]` rated item `items[item_ids[r]]` `ratings[r]`, with
+    relevance flag `relevant[r]`. (user, item) pairs are unique, and user
+    u's rows are `user_bounds[u]:user_bounds[u + 1]`.
+
+    The constructor's id columns may come in any row order and index label
+    lists in any order, with repeats (per-row labels with ids 0..n-1 work):
+    a pair given twice keeps its last row, and a label no row uses is
+    dropped. `Interaction` records are the edge format: `from_interactions`
+    reads them and `interactions` gives them back.
     """
 
-    def __init__(self, interactions: Sequence[Interaction], loop_kind: LoopKind = LoopKind.CLOSED):
-        # canonical (user, item) order makes a dataset's behaviour independent
-        # of the order its interactions were collected in
-        self.interactions: tuple[Interaction, ...] = tuple(
-            sorted(interactions, key=lambda x: (x.user, x.item))
-        )
+    def __init__(self, users: Sequence[str], items: Sequence[str], user_ids: Sequence[int],
+                 item_ids: Sequence[int], ratings: Sequence[int], relevant: Sequence[bool],
+                 loop_kind: LoopKind = LoopKind.CLOSED):
+        self.users, u = _compact(users, user_ids)
+        self.items, i = _compact(items, item_ids)
+        # the first of each key in the reversed rows is the pair's last row;
+        # np.unique returns the keys sorted, so the rows come in (user, item) order
+        _, last = np.unique((u * len(self.items) + i)[::-1], return_index=True)
+        rows = len(u) - 1 - last
+        self.user_ids, self.item_ids = u[rows], i[rows]
+        self.ratings = np.asarray(ratings, dtype=np.int64)[rows]
+        self.relevant = np.asarray(relevant, dtype=bool)[rows]
+        self.user_bounds = np.searchsorted(self.user_ids, np.arange(len(self.users) + 1))
         self.loop_kind = loop_kind
-        self.user_index: dict[str, int] = {
-            u: k for k, u in enumerate(sorted({x.user for x in self.interactions}))
-        }
-        self.item_index: dict[str, int] = {
-            i: k for k, i in enumerate(sorted({x.item for x in self.interactions}))
-        }
-        counts: dict[str, int] = {}
-        for x in self.interactions:
-            counts[x.item] = counts.get(x.item, 0) + 1
-        self.item_counts = counts
 
     @classmethod
-    def from_interactions(
-        cls,
-        interactions: Iterable[Interaction],
-        loop_kind: LoopKind = LoopKind.CLOSED,
-    ) -> "Dataset":
+    def from_interactions(cls, interactions: Iterable[Interaction],
+                          loop_kind: LoopKind = LoopKind.CLOSED) -> "Dataset":
         """Build a Dataset; duplicate (user, item) pairs keep the last occurrence."""
-        seen: dict[tuple[str, str], Interaction] = {}
-        for x in interactions:
-            seen[(x.user, x.item)] = x
-        return cls(list(seen.values()), loop_kind)
+        xs = list(interactions)
+        rows = np.arange(len(xs))
+        return cls([x.user for x in xs], [x.item for x in xs], rows, rows,
+                   [x.rating for x in xs], [x.relevant for x in xs], loop_kind)
 
     def __len__(self) -> int:
-        return len(self.interactions)
+        return len(self.user_ids)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
         return self.loop_kind == other.loop_kind and self.interactions == other.interactions
 
-    @property
-    def users(self) -> list[str]:
-        return list(self.user_index)
-
-    @property
-    def items(self) -> list[str]:
-        return list(self.item_index)
-
-    # Integer views used by the model and evaluator code paths.
     @cached_property
-    def user_ids(self) -> np.ndarray:
-        return np.fromiter(
-            (self.user_index[x.user] for x in self.interactions), dtype=np.int64, count=len(self)
-        )
+    def user_index(self) -> dict[str, int]:
+        return {u: k for k, u in enumerate(self.users)}
 
     @cached_property
-    def item_ids(self) -> np.ndarray:
-        return np.fromiter(
-            (self.item_index[x.item] for x in self.interactions), dtype=np.int64, count=len(self)
-        )
+    def item_index(self) -> dict[str, int]:
+        return {i: k for k, i in enumerate(self.items)}
 
     @cached_property
-    def ratings(self) -> np.ndarray:
-        return np.fromiter((x.rating for x in self.interactions), dtype=np.float64, count=len(self))
+    def item_counts(self) -> dict[str, int]:
+        """Rows per item, in the order of each item's first row."""
+        _, first = np.unique(self.item_ids, return_index=True)
+        counts = np.bincount(self.item_ids, minlength=len(self.items)).tolist()
+        return {self.items[j]: counts[j] for j in np.argsort(first).tolist()}
 
+    @cached_property
+    def interactions(self) -> tuple[Interaction, ...]:
+        """The rows as records, in (user, item) order."""
+        users = [self.users[u] for u in self.user_ids.tolist()]
+        items = [self.items[i] for i in self.item_ids.tolist()]
+        return tuple(map(Interaction, users, items, self.ratings.tolist(), self.relevant.tolist()))
+
+
+def _compact(labels: Sequence[str], ids: Sequence[int]) -> tuple[list[str], np.ndarray]:
+    """The distinct labels that `ids` use, sorted, and `ids` renumbered to index them."""
+    used, ids = np.unique(ids, return_inverse=True)
+    names = sorted({labels[k] for k in used.tolist()})
+    index = {x: k for k, x in enumerate(names)}
+    return names, np.array([index[labels[k]] for k in used.tolist()], dtype=np.int64)[ids]
+
+
+def _rows(dataset: Dataset, rows, relevant: np.ndarray) -> Dataset:
+    """The rows `rows` of `dataset`, with relevance flags from the full column `relevant`."""
+    return Dataset(dataset.users, dataset.items, dataset.user_ids[rows], dataset.item_ids[rows],
+                   dataset.ratings[rows], relevant[rows], dataset.loop_kind)
 
 
 @dataclass(frozen=True)
@@ -142,7 +154,9 @@ def parse_interactions(
     those named by the schema (e.g. a trailing timestamp) are ignored.
     Duplicate (user, item) pairs keep the last occurrence.
     """
-    interactions: list[Interaction] = []
+    users: list[str] = []
+    items: list[str] = []
+    ratings: list[int] = []
     for lineno, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -165,14 +179,17 @@ def parse_interactions(
             )
         if not user or not item:
             raise ParseError(f"line {lineno}: empty user or item identifier")
-        interactions.append(Interaction(user, item, rating))
-    return Dataset.from_interactions(interactions, loop_kind)
+        users.append(user)
+        items.append(item)
+        ratings.append(rating)
+    rows = np.arange(len(ratings))
+    return Dataset(users, items, rows, rows, ratings, np.zeros(len(rows), dtype=bool), loop_kind)
 
 
 def write_dataset(dataset: Dataset, stream: IO[str]) -> None:
     """Serialize in canonical order (by user, then item); round-trips with
     parse_interactions up to the loop_kind flag, which lives outside the file."""
-    for x in sorted(dataset.interactions, key=lambda i: (i.user, i.item)):
+    for x in dataset.interactions:
         stream.write(f"{x.user},{x.item},{x.rating}\n")
 
 
@@ -180,8 +197,7 @@ def binarize(dataset: Dataset, threshold: int = DEFAULT_THRESHOLD) -> Dataset:
     """Set each interaction's relevance flag to (rating >= threshold)."""
     if not RATING_MIN <= threshold <= RATING_MAX:
         raise ValueError(f"threshold {threshold} outside [{RATING_MIN}, {RATING_MAX}]")
-    updated = [replace(x, relevant=x.rating >= threshold) for x in dataset.interactions]
-    return Dataset(updated, dataset.loop_kind)
+    return _rows(dataset, slice(None), dataset.ratings >= threshold)
 
 
 def split_holdout(dataset: Dataset, ratio: float = 0.8, seed: int = 0) -> Split:
@@ -199,8 +215,5 @@ def split_holdout(dataset: Dataset, ratio: float = 0.8, seed: int = 0) -> Split:
     random.Random(seed).shuffle(order)
     n_train = int(round(ratio * n))
     n_train = min(max(n_train, 1), n - 1)
-    train_idx = sorted(order[:n_train])
-    test_idx = sorted(order[n_train:])
-    train = Dataset([dataset.interactions[i] for i in train_idx], dataset.loop_kind)
-    test = Dataset([dataset.interactions[i] for i in test_idx], dataset.loop_kind)
-    return Split(train=train, test=test)
+    return Split(train=_rows(dataset, order[:n_train], dataset.relevant),
+                 test=_rows(dataset, order[n_train:], dataset.relevant))

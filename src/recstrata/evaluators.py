@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
 from scipy.stats import t as student_t
 
 from .corpus import Dataset
@@ -53,12 +54,12 @@ class EvalReport:
     strata_K: int | None = None
 
 
-def _relevant_by_user(test: Dataset) -> dict[str, set[str]]:
-    out: dict[str, set[str]] = {u: set() for u in test.user_index}
-    for x in test.interactions:
-        if x.relevant:
-            out[x.user].add(x.item)
-    return out
+def _relevant_by_user(test: Dataset) -> dict[str, list[str]]:
+    """Each test user's relevant test items, users and items in sorted order."""
+    rows = np.flatnonzero(test.relevant)
+    items = [test.items[i] for i in test.item_ids[rows].tolist()]
+    cuts = np.searchsorted(rows, test.user_bounds).tolist()  # each user's relevant rows
+    return {u: items[a:b] for u, a, b in zip(test.users, cuts, cuts[1:])}
 
 
 def _mean(values: list[float]) -> float:
@@ -73,7 +74,7 @@ def _mean_defined(per_user: Mapping[str, float | None], method: str) -> float:
 
 
 def _require_rankings(rankings: Mapping[str, Ranking], test: Dataset) -> None:
-    missing = [u for u in test.user_index if u not in rankings]
+    missing = [u for u in test.users if u not in rankings]
     if missing:
         raise EvaluationError(f"missing rankings for {len(missing)} test users (e.g. {missing[0]!r})")
 
@@ -85,7 +86,7 @@ def holdout_eval(
     test item are skipped."""
     _require_rankings(rankings, test)
     relevant = _relevant_by_user(test)
-    per_user = {u: ndcg(rankings[u], relevant[u], spec) for u in test.user_index}
+    per_user = {u: ndcg(rankings[u], items, spec) for u, items in relevant.items()}
     overall = _mean_defined(per_user, "holdout")
     return EvalReport(method="holdout", overall=overall, per_user=per_user)
 
@@ -101,14 +102,14 @@ def ips_eval(
     holdout_eval exactly."""
     _require_rankings(rankings, test)
     scores = propensities.scores
-    for item in test.item_index:
+    for item in test.items:
         p = scores.get(item)
         if p is None:
             raise EvaluationError(f"no propensity for test item {item!r}; {COVERAGE_HINT}")
         if p <= 0.0:
             raise EvaluationError(f"non-positive propensity for item {item!r}")
     relevant = _relevant_by_user(test)
-    per_user = {u: ndcg(rankings[u], relevant[u], spec, scores) for u in test.user_index}
+    per_user = {u: ndcg(rankings[u], items, spec, scores) for u, items in relevant.items()}
     overall = _mean_defined(per_user, "ips")
     return EvalReport(method="ips", overall=overall, per_user=per_user)
 
@@ -129,14 +130,14 @@ def per_stratum_eval(
     """
     _require_rankings(rankings, test)
     weights = stratum_weights(assignment, test)
-    relevant: dict[str, dict[int, set[str]]] = {u: {} for u in test.user_index}
-    for x in test.interactions:
-        if x.relevant:
-            relevant[x.user].setdefault(assignment.stratum_of[x.item], set()).add(x.item)
     values: dict[int, list[float]] = {s: [] for s in weights.weights}
-    for u in sorted(relevant):
-        for s, items in relevant[u].items():
-            values[s].append(ndcg(rankings[u], items, spec))
+    # users in sorted order, so each stratum's mean adds its values in that order
+    for u, items in _relevant_by_user(test).items():
+        by_stratum: dict[int, list[str]] = {}
+        for item in items:
+            by_stratum.setdefault(assignment.stratum_of[item], []).append(item)
+        for s, these in by_stratum.items():
+            values[s].append(ndcg(rankings[u], these, spec))
     return {
         s: StratumResult(
             value=_mean(v) if v else None,

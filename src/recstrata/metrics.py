@@ -32,25 +32,25 @@ def rank_all(model, split: Split) -> dict[str, dict[str, int]]:
     popularity, then item identifier. A test item the user also has in train
     is not a candidate and gets no rank.
     """
-    items = sorted(set(split.train.item_index) | set(split.test.item_index))
+    train, test = split.train, split.test
+    items = sorted(set(train.items) | set(test.items))
     pos = {item: k for k, item in enumerate(items)}
-    popularity = np.array([split.train.item_counts.get(i, 0) for i in items], dtype=np.float64)
+    train_pos = np.array([pos[i] for i in train.items], dtype=np.int64)
+    test_pos = np.array([pos[i] for i in test.items], dtype=np.int64)
+    train_rows = train_pos[train.item_ids]  # each train row's item, as a candidate position
+    popularity = np.bincount(train_rows, minlength=len(items))
     ids = np.arange(len(items))
     ranks = ids + 1
-    own_train: dict[str, list[int]] = {}
-    for x in split.train.interactions:
-        own_train.setdefault(x.user, []).append(pos[x.item])
-    test_items: dict[str, list[str]] = {}
-    for x in split.test.interactions:
-        test_items.setdefault(x.user, []).append(x.item)
+    own_train = dict(zip(train.users, np.split(train_rows, train.user_bounds[1:-1])))
     rankings: dict[str, dict[str, int]] = {}
-    for u in split.test.users:
+    for u, mine in zip(test.users, np.split(test.item_ids, test.user_bounds[1:-1])):
         own = np.zeros(len(items), dtype=bool)
         own[own_train.get(u, [])] = True
         rank = np.empty(len(items), dtype=np.int64)
         # the user's own train items sort behind every candidate
         rank[np.lexsort((ids, -popularity, -model.score_array(u, items), own))] = ranks
-        rankings[u] = {i: int(rank[pos[i]]) for i in test_items[u] if not own[pos[i]]}
+        rankings[u] = {test.items[j]: int(rank[p])
+                       for j, p in zip(mine.tolist(), test_pos[mine].tolist()) if not own[p]}
     return rankings
 
 

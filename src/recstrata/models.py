@@ -71,7 +71,7 @@ class Recommender:
             raise FitError(f"{self.label}: empty training dataset")
         self.user_index_ = train.user_index
         self.item_index_ = train.item_index
-        self._pop = np.array([train.item_counts[i] for i in self.item_index_], dtype=np.float64)
+        self._pop = np.bincount(train.item_ids, minlength=len(train.items)).astype(np.float64)
         self._fit(train)
         return self
 
@@ -283,16 +283,11 @@ class WeightedMF(_FactorModel):
         k = cfg.latent_size
         X, Y = self._init_factors(rng, nu, ni)
         alpha, reg = cfg.confidence_alpha, cfg.regularization
-        items_of: list[np.ndarray] = [np.empty(0, int)] * nu
-        users_of: list[np.ndarray] = [np.empty(0, int)] * ni
-        order_u = np.argsort(u, kind="stable")
-        bounds = np.searchsorted(u[order_u], np.arange(nu + 1))
-        for a in range(nu):
-            items_of[a] = i[order_u[bounds[a] : bounds[a + 1]]]
-        order_i = np.argsort(i, kind="stable")
-        bounds = np.searchsorted(i[order_i], np.arange(ni + 1))
-        for b in range(ni):
-            users_of[b] = u[order_i[bounds[b] : bounds[b + 1]]]
+        # each user's items are one slice of the sorted rows; each item's
+        # users, in row order, one slice of the rows stably sorted by item
+        items_of = np.split(i, train.user_bounds[1:-1])
+        order = np.argsort(i, kind="stable")
+        users_of = np.split(u[order], np.searchsorted(i[order], np.arange(1, ni)))
 
         eye = np.eye(k)
         for epoch in range(cfg.epochs):

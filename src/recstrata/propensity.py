@@ -102,11 +102,10 @@ def estimate_propensities(dataset: Dataset, gamma: GammaEstimate) -> PropensityT
     if not math.isfinite(gamma.gamma) or gamma.gamma <= 0:
         raise EstimationError(f"invalid gamma {gamma.gamma}")
     exponent = (gamma.gamma + 1.0) / 2.0
-    items = list(dataset.item_counts)
-    raw = np.array([dataset.item_counts[i] for i in items], dtype=np.float64) ** exponent
+    raw = np.array(list(dataset.item_counts.values()), dtype=np.float64) ** exponent
     scores = raw / raw.max()
     return PropensityTable(
-        scores=dict(zip(items, scores.tolist())),
+        scores=dict(zip(dataset.item_counts, scores.tolist())),
         gamma=gamma,
         item_counts=dict(dataset.item_counts),
     )

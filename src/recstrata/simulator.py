@@ -17,7 +17,7 @@ from typing import Literal
 import numpy as np
 from scipy.stats import spearmanr
 
-from .corpus import Dataset, Interaction, LoopKind, Split, binarize, split_holdout
+from .corpus import Dataset, LoopKind, Split, binarize, split_holdout
 from .models import ModelConfig, fit as fit_model
 
 Policy = Literal["popularity_biased", "trained_mf", "uniform_random"]
@@ -103,20 +103,25 @@ def _ratings_for(relevant: np.ndarray, rng: np.random.Generator, noise: float) -
     return ratings
 
 
+def _dataset(users: list[str], items: list[str], blocks: list, loop_kind: LoopKind) -> Dataset:
+    """A log from (user id, item ids, ratings) blocks in generation order; a
+    pair exposed more than once keeps its last rating."""
+    u = np.concatenate([np.full(len(j), k) for k, j, _ in blocks])
+    j = np.concatenate([j for _, j, _ in blocks])
+    r = np.concatenate([r for _, _, r in blocks])
+    return Dataset(users, items, u, j, r, np.zeros(len(r), dtype=bool), loop_kind)
+
+
 def _bootstrap_mf_scores(config: SimConfig, relevance: np.ndarray,
                          users: list[str], items: list[str],
                          rng: np.random.Generator) -> np.ndarray:
     # fit a small MF on one round of uniform exposures; the deployed policy
     # then recommends its top-scored items
-    records: dict[tuple[int, int], int] = {}
+    blocks = []
     for u in range(config.n_users):
         exposed = rng.choice(config.n_items, size=config.exposure_budget, replace=False)
-        ratings = _ratings_for(relevance[u, exposed], rng, config.interact_noise)
-        for j, r in zip(exposed, ratings):
-            records[(u, int(j))] = int(r)
-    boot = Dataset.from_interactions(
-        [Interaction(users[u], items[j], r) for (u, j), r in records.items()]
-    )
+        blocks.append((u, exposed, _ratings_for(relevance[u, exposed], rng, config.interact_noise)))
+    boot = _dataset(users, items, blocks, LoopKind.CLOSED)
     # a conservative learning rate: the bootstrap log can be tiny and SGD at
     # rating scale diverges on small dense blocks with a hotter step
     mf = fit_model(
@@ -149,7 +154,7 @@ def generate(config: SimConfig) -> FeedbackLog:
 
     exposure = np.zeros(config.n_items, dtype=np.int64)
     interaction_counts = np.zeros(config.n_items, dtype=np.int64)
-    closed: dict[tuple[int, int], int] = {}
+    closed = []
     for _session in range(config.sessions):
         for u in range(config.n_users):
             if config.deployed_policy == "uniform_random":
@@ -165,31 +170,18 @@ def generate(config: SimConfig) -> FeedbackLog:
                 exposed = policy_top[u]
             exposure[exposed] += 1
             ratings = _ratings_for(relevance[u, exposed], rng, config.interact_noise)
-            for j, r in zip(exposed, ratings):
-                closed[(u, int(j))] = int(r)
+            closed.append((u, exposed, ratings))
             interaction_counts[exposed] += 1
 
-    closed_ds = binarize(
-        Dataset.from_interactions(
-            [Interaction(users[u], items[j], r) for (u, j), r in closed.items()],
-            LoopKind.CLOSED,
-        )
-    )
+    closed_ds = binarize(_dataset(users, items, closed, LoopKind.CLOSED))
     split = split_holdout(closed_ds, ratio=config.split_ratio, seed=config.seed)
 
-    opened: dict[tuple[int, int], int] = {}
+    opened = []
     open_budget = config.open_budget or config.exposure_budget
     for u in range(config.n_users):
         exposed = rng.choice(config.n_items, size=open_budget, replace=False)
-        ratings = _ratings_for(relevance[u, exposed], rng, config.interact_noise)
-        for j, r in zip(exposed, ratings):
-            opened[(u, int(j))] = int(r)
-    open_ds = binarize(
-        Dataset.from_interactions(
-            [Interaction(users[u], items[j], r) for (u, j), r in opened.items()],
-            LoopKind.OPEN,
-        )
-    )
+        opened.append((u, exposed, _ratings_for(relevance[u, exposed], rng, config.interact_noise)))
+    open_ds = binarize(_dataset(users, items, opened, LoopKind.OPEN))
 
     return FeedbackLog(
         config=config,
@@ -220,11 +212,8 @@ def audit_skew(log: FeedbackLog) -> SkewSummary:
     exposure = np.array([log.exposure_counts[i] for i in log.items], dtype=np.float64)
     if exposure.sum() == 0:
         return SkewSummary(0.0, 0.0, 0.0)
-    counts = np.zeros(len(log.items), dtype=np.float64)
-    pos = {item: k for k, item in enumerate(log.items)}
-    for ds in (log.closed_train, log.closed_test):
-        for x in ds.interactions:
-            counts[pos[x.item]] += 1
+    train, test = log.closed_train.item_counts, log.closed_test.item_counts
+    counts = np.array([train.get(i, 0) + test.get(i, 0) for i in log.items], dtype=np.float64)
     n_head = max(1, math.ceil(0.01 * len(log.items)))
     head = np.argsort(-exposure)[:n_head]
     total = counts.sum()

@@ -19,9 +19,9 @@ class CorrelationReport:
     """Agreement of two evaluation methods (Y, Z) with a reference ranking X,
     plus Steiger's test for the difference of the two dependent correlations."""
 
-    tau_xy: float
-    tau_xz: float
-    tau_yz: float
+    tau_xy: float | None
+    tau_xz: float | None
+    tau_yz: float | None
     n: int
     steiger_z: float | None
     p: float | None
@@ -90,16 +90,17 @@ def compare_rankings(
     """Kendall correlations of methods Y and Z against reference X, with
     Steiger's test on the dependent difference.
 
-    With strict=False, boundary cases (a correlation of exactly +/-1) report
-    the correlations with steiger_z and p set to None instead of raising.
+    With strict=False, the cases the test is undefined for (a correlation of
+    exactly +/-1, or a fully tied ranking, whose correlations are None)
+    report steiger_z and p as None instead of raising.
     """
     n = len(x)
     tau_xy = kendall_tau_b(x, y)
     tau_xz = kendall_tau_b(x, z)
     tau_yz = kendall_tau_b(y, z)
-    if tau_xy is None or tau_xz is None or tau_yz is None:
-        raise StatsError("a fully tied ranking has no defined correlation")
     try:
+        if tau_xy is None or tau_xz is None or tau_yz is None:
+            raise StatsError("a fully tied ranking has no defined correlation")
         sz, p = steiger_test(tau_xy, tau_xz, tau_yz, n)
     except StatsError:
         if strict:

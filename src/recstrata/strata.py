@@ -81,11 +81,11 @@ def assign_strata(propensities: PropensityTable, K: int) -> StrataAssignment:
 def stratum_weights(assignment: StrataAssignment, reference: Dataset) -> StratumWeights:
     """P(X = x): each stratum's share of the reference dataset's interactions."""
     counts = {s: 0 for s in range(1, assignment.K + 1)}
-    for x in reference.interactions:
-        s = assignment.stratum_of.get(x.item)
+    for item, count in reference.item_counts.items():
+        s = assignment.stratum_of.get(item)
         if s is None:
-            raise AssignmentError(f"item {x.item!r} in reference has no stratum; {COVERAGE_HINT}")
-        counts[s] += 1
+            raise AssignmentError(f"item {item!r} in reference has no stratum; {COVERAGE_HINT}")
+        counts[s] += count
     total = sum(counts.values())
     if total == 0:
         raise AssignmentError("reference dataset is empty")

@@ -262,14 +262,19 @@ def correlation_rows(
     the closed holdout: Kendall tau-b of the open-loop holdout scores with
     the closed holdout's and with the group's, and Steiger's test of the
     difference, over the models all three hold. A group with fewer than
-    MIN_MODELS such models is skipped. Each stratified group also gives
-    scatter rows (cutoff, model, open score, closed score), then
-    (cutoff, "__fit__", slope, intercept)."""
+    MIN_MODELS such models is skipped; a fully tied group's undefined
+    correlations and test are None. Each stratified group also gives scatter
+    rows (cutoff, model, open score, closed score), then, unless the open
+    scores are all tied, (cutoff, "__fit__", slope, intercept). Raises
+    EvaluationError when either side has no holdout record at a closed cutoff."""
     closed, opened = _groups(closed_records), _groups(open_records)
     rows, scatter_rows = [], []
     for cutoff in cutoffs_in(closed_records):
-        truth = opened.get((cutoff, BASELINE, None), {})
-        base = closed.get((cutoff, BASELINE, None), {})
+        truth, base = opened.get((cutoff, BASELINE, None)), closed.get((cutoff, BASELINE, None))
+        if truth is None or base is None:
+            where = "open-loop report" if truth is None else "closed reports"
+            raise EvaluationError(f"no {BASELINE} record at cutoff "
+                                  f"{'none' if cutoff is None else cutoff} in the {where}")
         keys = [key for key in closed if key[0] == cutoff and key[1] != BASELINE]
         # ordered by the text of (method, K), so K=10 comes between K=1 and K=2
         for _, method, K in sorted(keys, key=lambda key: str(key[1:])):
@@ -294,7 +299,8 @@ def correlation_rows(
             })
             if method == "stratified":
                 scatter_rows += [(cutoff, m, xm, zm) for m, xm, zm in zip(common, x, z)]
-                scatter_rows.append((cutoff, "__fit__", *linear_fit(x, z)))
+                if len(set(x)) > 1:  # constant open scores have no least-squares line
+                    scatter_rows.append((cutoff, "__fit__", *linear_fit(x, z)))
     return rows, scatter_rows
 
 

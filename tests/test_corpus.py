@@ -1,5 +1,8 @@
 import io
+import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -77,8 +80,8 @@ class TestDataset:
         assert sum(ds.item_counts.values()) == len(ds)
 
     def test_interaction_order_is_canonical(self):
-        a = Dataset([Interaction("u2", "i1", 1), Interaction("u1", "i1", 2)])
-        b = Dataset([Interaction("u1", "i1", 2), Interaction("u2", "i1", 1)])
+        a = Dataset.from_interactions([Interaction("u2", "i1", 1), Interaction("u1", "i1", 2)])
+        b = Dataset.from_interactions([Interaction("u1", "i1", 2), Interaction("u2", "i1", 1)])
         assert a.interactions == b.interactions
 
     def test_round_trip(self):
@@ -156,3 +159,66 @@ class TestSplit:
         assert tuple(merged) == ds.interactions
         for part in (s.train, s.test):
             assert sum(part.item_counts.values()) == len(part)
+
+
+def check_columns(ds):
+    """The column invariants: sorted distinct vocabularies that rows all use,
+    rows strictly ascending by (user, item), and each user's rows one slice."""
+    assert ds.users == sorted(set(ds.users)) and ds.items == sorted(set(ds.items))
+    assert set(ds.user_ids.tolist()) == set(range(len(ds.users)))
+    assert set(ds.item_ids.tolist()) == set(range(len(ds.items)))
+    keys = ds.user_ids * len(ds.items) + ds.item_ids
+    assert np.all(np.diff(keys) > 0)
+    per_user = np.repeat(np.arange(len(ds.users)), np.diff(ds.user_bounds))
+    assert np.array_equal(per_user, ds.user_ids)
+
+
+records = st.lists(
+    st.builds(
+        Interaction,
+        user=st.sampled_from(["u1", "u2", "u10", "v"]),
+        item=st.sampled_from(["a", "b", "c", "i9", "i10"]),
+        rating=st.integers(0, 5),
+        relevant=st.booleans(),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=records, threshold=st.integers(0, 5), seed=st.integers(0, 1000))
+def test_dataset_edge_contract(xs, threshold, seed):
+    ds = Dataset.from_interactions(xs)
+    check_columns(ds)
+    last = {}
+    for x in xs:
+        last[(x.user, x.item)] = x
+    expected = sorted(last.values(), key=lambda x: (x.user, x.item))
+    assert list(ds.interactions) == expected
+
+    counts = {}
+    for x in expected:
+        counts[x.item] = counts.get(x.item, 0) + 1
+    assert list(ds.item_counts.items()) == list(counts.items())
+
+    buf = io.StringIO()
+    write_dataset(ds, buf)
+    again = parse(buf.getvalue())
+    check_columns(again)
+    assert again == Dataset.from_interactions(replace(x, relevant=False) for x in expected)
+
+    binary = binarize(ds, threshold)
+    check_columns(binary)
+    assert binary == Dataset.from_interactions(
+        replace(x, relevant=x.rating >= threshold) for x in expected
+    )
+
+    if len(expected) >= 2:
+        # the reference split: shuffle the row numbers, cut, keep each part in row order
+        order = list(range(len(expected)))
+        random.Random(seed).shuffle(order)
+        n_train = min(max(int(round(0.8 * len(expected))), 1), len(expected) - 1)
+        split = split_holdout(ds, seed=seed)
+        for part, rows in ((split.train, order[:n_train]), (split.test, order[n_train:])):
+            check_columns(part)
+            assert part == Dataset.from_interactions(expected[i] for i in sorted(rows))

@@ -141,6 +141,15 @@ class TestSteiger:
         assert report.tau_xy == 1.0
         assert report.steiger_z is None and report.p is None
 
+    def test_compare_rankings_fully_tied(self):
+        x, y = [1, 2, 3, 4, 5], [2, 1, 3, 5, 4]
+        with pytest.raises(StatsError, match="fully tied"):
+            compare_rankings(x, y, [0.0] * 5)
+        report = compare_rankings(x, y, [0.0] * 5, strict=False)
+        assert report.tau_xy == kendall_tau_b(x, y)
+        assert report.tau_xz is None and report.tau_yz is None
+        assert report.steiger_z is None and report.p is None
+
 
 class TestLinearFit:
     def test_exact_line(self):

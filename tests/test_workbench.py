@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import shlex
@@ -181,6 +182,30 @@ class TestCorrelationRows:
             expected += [(None, m, x, z) for m, x, z in zip("ABCD", truth, closed)]
             expected.append((None, "__fit__", *linear_fit(truth, closed)))
         assert scatter == expected
+
+    def test_a_fully_tied_group_gets_a_row_without_a_test(self):
+        tied = [record(m, "stratified", 0.0, K=5) for m in "ABCDE"]
+        rows, _ = correlation_rows(self.closed() + tied, self.OPEN)
+        row = next(r for r in rows if r["K"] == 5)
+        assert row["tau_open_baseline"] == rows[0]["tau_open_baseline"]
+        assert [row[k] for k in ("tau_open_method", "tau_baseline_method", "steiger_z", "p",
+                                 "significant")] == [None] * 5
+        assert [r for r in rows if r["K"] != 5] == correlation_rows(self.closed(), self.OPEN)[0]
+
+    def test_tied_open_scores_give_rows_without_a_test_or_a_fit(self):
+        rows, scatter = correlation_rows(self.closed(), [record(m, "holdout", 0.5) for m in "ABCD"])
+        assert len(rows) == 4
+        assert {(r["tau_open_baseline"], r["tau_open_method"], r["p"]) for r in rows} == {
+            (None, None, None)}
+        assert len(scatter) == 12 and "__fit__" not in {row[1] for row in scatter}
+
+    @pytest.mark.parametrize("side", ["open-loop report", "closed reports"])
+    def test_a_side_without_holdout_at_a_closed_cutoff_is_an_error(self, side):
+        closed, opened = self.closed(), [r for r in self.OPEN if r["cutoff"] == 10]
+        if side == "closed reports":
+            closed, opened = [r for r in closed if r["method"] != "holdout"], self.OPEN
+        with pytest.raises(EvaluationError, match=f"holdout record at cutoff none in the {side}"):
+            correlation_rows(closed, opened)
 
 
 class TestManifest:
@@ -407,6 +432,24 @@ class TestCli:
             ])
         assert digests[0] == digests[1]
 
+    def test_compare_writes_a_fully_tied_group_and_rejects_a_missing_cutoff(self, workdir,
+                                                                               capsys):
+        closed = TestCorrelationRows().closed()
+        closed += [record(m, "stratified", 0.0, K=5) for m in "ABCDE"]
+        for name, records in (("closed.jsonl", closed), ("open.jsonl", TestCorrelationRows.OPEN),
+                              ("open10.jsonl", TestCorrelationRows.OPEN[4:])):
+            with open(workdir / name, "w") as f:
+                write_records(records, f)
+        assert run_cli("compare", "--reports", "closed.jsonl", "--open-report", "open.jsonl",
+                       "--out", "corr.jsonl") == 0
+        with open(workdir / "corr.jsonl") as f:
+            rows = read_records(f)
+        assert [(r["K"], r["p"]) for r in rows if r["K"] == 5] == [(5, None)]
+        assert run_cli("compare", "--reports", "closed.jsonl", "--open-report", "open10.jsonl",
+                       "--out", "corr10.jsonl") == 2
+        assert "no holdout record at cutoff none in the open-loop report" in capsys.readouterr().err
+        assert not (workdir / "corr10.jsonl").exists()
+
     @pytest.mark.parametrize("text, line", [
         ("# gamma=2.0 n_samples=2 x_min=1\na,1,0.5\nb,2\n", "line 3"),
         ("a,1,0.5\nb,2,1.0\n", "line 1"),
@@ -419,11 +462,15 @@ class TestCli:
         assert err.startswith("data error:") and line in err
 
 
+def readme_block(heading, language):
+    """The first `language` code block under the README's `heading`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split(heading, 1)[1].split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def readme_cli_tour():
     """The `recstrata` commands of the README's CLI tour, one argv each."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    tour = readme.split("## Quick tour (CLI)", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = tour.replace("\\\n", " ").splitlines()
+    lines = readme_block("## Quick tour (CLI)", "sh").replace("\\\n", " ").splitlines()
     return [shlex.split(line) for line in lines if line.startswith("recstrata ")]
 
 
@@ -438,3 +485,24 @@ def test_readme_cli_tour_parses():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
+def test_readme_library_tour_runs(capsys):
+    tour = readme_block("## Quick tour (library)", "python")
+    exec(compile(tour, "README.md", "exec"), {})
+    hold, strat, per_stratum = capsys.readouterr().out.split(" ", 2)
+    assert 0.0 < float(hold) <= 1.0 and 0.0 < float(strat) <= 1.0
+    assert per_stratum.startswith("{1: ")
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for name, (module, attr) in tracer.FUNCTIONS.items():
+        assert callable(getattr(importlib.import_module(f"recstrata.{module}"), attr, None)), name
+    assert callable(recstrata.models.fit)
+    assert "__init__" in vars(Dataset)
+    assert "score_array" in vars(recstrata.models.Recommender)
+    assert tracer.ALGORITHMS == recstrata.models.ALGORITHMS
