@@ -189,8 +189,9 @@ def parse_interactions(
 def write_dataset(dataset: Dataset, stream: IO[str]) -> None:
     """Serialize in canonical order (by user, then item); round-trips with
     parse_interactions up to the loop_kind flag, which lives outside the file."""
-    for x in dataset.interactions:
-        stream.write(f"{x.user},{x.item},{x.rating}\n")
+    users, items = dataset.users, dataset.items
+    stream.writelines(f"{users[u]},{items[i]},{r}\n" for u, i, r in zip(
+        dataset.user_ids.tolist(), dataset.item_ids.tolist(), dataset.ratings.tolist()))
 
 
 def binarize(dataset: Dataset, threshold: int = DEFAULT_THRESHOLD) -> Dataset:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from .corpus import Dataset
 from .metrics import MetricSpec, ndcg
@@ -194,6 +193,7 @@ def paired_ttest(
     Zero-variance, nonzero-mean differences report p at the machine floor
     rather than dividing by zero; all-zero differences give (0, 1).
     """
+    from scipy.special import stdtr  # the one scipy call; importing it here keeps it off start-up
     users = sorted(
         u
         for u in per_user_a
@@ -210,5 +210,5 @@ def paired_ttest(
             return 0.0, 1.0
         return math.copysign(math.inf, mean), sys.float_info.min
     t = mean / math.sqrt(var / n)
-    p = 2.0 * float(student_t.sf(abs(t), n - 1))
+    p = 2.0 * float(stdtr(n - 1, -abs(t)))
     return t, min(p, 1.0)

@@ -9,12 +9,11 @@ exposed item has propensity 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import IO, Mapping
+from typing import IO, Callable, Mapping
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import zeta
 
 from .corpus import Dataset, ParseError
 
@@ -48,6 +47,89 @@ def _approximate_gamma(counts: np.ndarray, x_min: int) -> float:
     return 1.0 + len(counts) / float(np.sum(np.log(counts / (x_min - 0.5))))
 
 
+# Cephes' Euler-Maclaurin coefficients (2k)! / B_2k, k = 1..12, for _zeta
+_ZETA_A = (
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+    7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+    -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18,
+)
+_MACHEP = 1.11022302462515654042e-16
+
+
+def _zeta(x: float, q: float) -> float:
+    """Hurwitz zeta, sum over k >= 0 of (k + q)^-x, for x > 1 and q >= 1.
+
+    A port of Cephes' Euler-Maclaurin sum, which scipy.special.zeta uses;
+    the operations and their order are kept, so the results are identical.
+    """
+    q = float(q)
+    s = q ** -x
+    a, i, b = q, 0, 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a ** -x
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a, k = 1.0, 0.0
+    for coef in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / coef
+        s = s + t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
+
+
+def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
+    """A root of f in [a, b], where f(a) and f(b) have opposite signs.
+
+    A line-for-line port of scipy.optimize.brentq's C loop with its default
+    rtol (4 eps) and 100 iterations, so the root is identical to scipy's.
+    """
+    rtol = 4 * sys.float_info.epsilon
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise EstimationError(f"root finder did not converge in 100 iterations (last {xcur!r})")
+
+
 def _exact_gamma(counts: np.ndarray, x_min: int, gamma_max: float = 50.0) -> float:
     # Discrete power-law MLE: gamma solves  zeta'(g, x_min)/zeta(g, x_min)
     # = -mean(ln x).  Solved by bracketing the score function.
@@ -55,7 +137,7 @@ def _exact_gamma(counts: np.ndarray, x_min: int, gamma_max: float = 50.0) -> flo
 
     def score(g: float) -> float:
         h = 1e-7 * g
-        dz = (math.log(zeta(g + h, x_min)) - math.log(zeta(g - h, x_min))) / (2 * h)
+        dz = (math.log(_zeta(g + h, x_min)) - math.log(_zeta(g - h, x_min))) / (2 * h)
         return dz + mean_log
 
     # score rises from -inf at gamma -> 1+ toward mean_log at large gamma,
@@ -64,7 +146,7 @@ def _exact_gamma(counts: np.ndarray, x_min: int, gamma_max: float = 50.0) -> flo
     lo, hi = 1.0 + 1e-4, gamma_max
     if score(lo) >= 0.0 or score(hi) <= 0.0:
         raise EstimationError("no interior likelihood maximum for the given counts")
-    return float(brentq(score, lo, hi, xtol=1e-9))
+    return _brentq(score, lo, hi, xtol=1e-9)
 
 
 def fit_gamma(

@@ -15,7 +15,6 @@ from dataclasses import dataclass, asdict
 from typing import Literal
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .corpus import Dataset, LoopKind, Split, binarize, split_holdout
 from .models import ModelConfig, fit as fit_model
@@ -218,9 +217,23 @@ def audit_skew(log: FeedbackLog) -> SkewSummary:
     head = np.argsort(-exposure)[:n_head]
     total = counts.sum()
     share = float(counts[head].sum() / total) if total else 0.0
-    rho = spearmanr(exposure, counts).statistic
+    rho = _spearman(exposure, counts)
     return SkewSummary(
         exposure_gini=gini(exposure),
         head_interaction_share=share,
-        exposure_interaction_spearman=float(rho) if np.isfinite(rho) else 0.0,
+        exposure_interaction_spearman=rho if math.isfinite(rho) else 0.0,
     )
+
+
+def _spearman(a: np.ndarray, b: np.ndarray) -> float:
+    """Spearman's rho with ties given their average rank; nan when either
+    input is constant (a single value included). Bit-identical to
+    scipy.stats.spearmanr's statistic, whose correlation is element [1, 0]."""
+    if np.all(a == a[0]) or np.all(b == b[0]):
+        return math.nan
+    return float(np.corrcoef(_average_ranks(a), _average_ranks(b))[1, 0])
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]

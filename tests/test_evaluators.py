@@ -266,3 +266,14 @@ class TestPairedTtest:
     def test_too_few_pairs(self):
         with pytest.raises(EvaluationError):
             paired_ttest({"u1": 0.5}, {"u1": 0.4})
+
+    def test_p_matches_scipy_student_t(self):
+        from scipy.stats import t as student_t
+
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            n = int(rng.integers(2, 50))
+            a = {f"u{k}": float(v) for k, v in enumerate(rng.random(n))}
+            b = {f"u{k}": float(v) for k, v in enumerate(rng.random(n) * rng.uniform(0.0, 3.0))}
+            t, p = paired_ttest(a, b)
+            assert p == min(2.0 * float(student_t.sf(abs(t), n - 1)), 1.0)

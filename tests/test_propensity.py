@@ -9,6 +9,7 @@ from recstrata.corpus import Dataset, Interaction, ParseError
 from recstrata.propensity import (
     EstimationError,
     GammaEstimate,
+    _zeta,
     estimate_propensities,
     fit_gamma,
     read_propensities,
@@ -58,6 +59,46 @@ class TestFitGamma:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             fit_gamma({"a": 1, "b": 2}, method="nope")
+
+
+class TestScipyIdentity:
+    """The Hurwitz zeta and root-finder ports give scipy's results to the last bit."""
+
+    def test_zeta_matches_scipy(self):
+        from scipy.special import zeta
+
+        rng = np.random.default_rng(11)
+        # x across (1, 50], and densely near the pole the gamma fit starts from
+        xs = np.concatenate([50.0 - 49.0 * rng.random(2000), 1.0 + 10 ** rng.uniform(-6, -1, 500)])
+        for q in (1, 2, 3, 5, 10):
+            assert [_zeta(x, q) for x in xs.tolist()] == zeta(xs, q).tolist()
+
+    def test_fit_gamma_matches_scipy_brentq_over_zeta(self):
+        from scipy.optimize import brentq
+        from scipy.special import zeta
+
+        def reference(counts, x_min):
+            mean_log = float(np.mean(np.log(counts)))
+
+            def score(g):
+                h = 1e-7 * g
+                return (math.log(zeta(g + h, x_min)) - math.log(zeta(g - h, x_min))) / (2 * h) + mean_log
+
+            return float(brentq(score, 1.0 + 1e-4, 50.0, xtol=1e-9))
+
+        rng = np.random.default_rng(5)
+        fits = 0
+        for _ in range(300):
+            x_min = int(rng.integers(1, 4))
+            # continuous power-law draws with exponent in [1.5, 3], floored to counts >= x_min
+            raw = np.floor(x_min * rng.random(int(rng.integers(20, 200))) ** -(1 / rng.uniform(0.5, 2.0)))
+            counts = {f"i{k}": int(c) for k, c in enumerate(raw)}
+            if all(c == x_min for c in counts.values()):
+                continue
+            kept = np.array(list(counts.values()), dtype=np.float64)
+            assert fit_gamma(counts, x_min).gamma == reference(kept, x_min)
+            fits += 1
+        assert fits > 250
 
 
 class TestEstimatePropensities:

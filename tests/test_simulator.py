@@ -1,9 +1,13 @@
+import dataclasses
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
 from recstrata.corpus import LoopKind
-from recstrata.simulator import SimConfig, SimConfigError, audit_skew, generate, gini
+from recstrata.simulator import SimConfig, SimConfigError, _spearman, audit_skew, generate, gini
 
 
 def small_config(**overrides):
@@ -148,3 +152,35 @@ class TestAuditSkew:
         skew = audit_skew(log)
         assert skew.exposure_interaction_spearman > 0.9
         assert skew.exposure_gini > 0.0
+
+    def test_constant_exposure_gives_zero_correlation(self):
+        log = generate(small_config())
+        log = dataclasses.replace(log, exposure_counts={i: 3 for i in log.items})
+        assert audit_skew(log).exposure_interaction_spearman == 0.0
+
+
+class TestSpearman:
+    @staticmethod
+    def assert_matches_scipy(a, b):
+        from scipy.stats import spearmanr
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy warns on constant input
+            want = float(spearmanr(a, b).statistic)
+        got = _spearman(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+    def test_matches_scipy_to_the_last_bit_with_ties(self):
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            n = int(rng.integers(2, 60))
+            self.assert_matches_scipy(rng.integers(0, 6, n), rng.integers(0, 30, n))
+
+    def test_two_values(self):
+        self.assert_matches_scipy([1, 2], [5, 3])
+        self.assert_matches_scipy([2, 7], [1, 4])
+
+    def test_constant_input_is_undefined(self):
+        self.assert_matches_scipy([4, 4, 4], [1, 2, 3])
+        self.assert_matches_scipy([1, 2, 3], [0, 0, 0])
+        self.assert_matches_scipy([5], [2])

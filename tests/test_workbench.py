@@ -432,6 +432,50 @@ class TestCli:
             ])
         assert digests[0] == digests[1]
 
+    def test_only_evaluate_baseline_loads_scipy(self, workdir):
+        # every verb in one fresh interpreter, noting the scipy modules loaded after each
+        script = """
+import json, sys
+from pathlib import Path
+import recstrata, recstrata.cli
+
+loaded = []
+def note(step):
+    loaded.append([step, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")])
+
+def run(*argv):
+    assert recstrata.cli.main(list(argv)) == 0, argv
+    note(" ".join(a for a in argv if a in (argv[0], "--baseline")))
+
+note("import")
+run("simulate", "--config", "sim.json", "--out-dir", "sim")
+Path("all.csv").write_text(Path("sim/closed_train.csv").read_text()
+                           + Path("sim/closed_test.csv").read_text())
+run("ingest", "--input", "all.csv", "--out", "closed_all.csv")
+run("propensity", "--train", "closed_all.csv", "--out", "prop.csv")
+run("stratify", "--propensities", "prop.csv", "--k", "2", "--out", "strata.csv")
+evaluate = ("evaluate", "--train", "sim/closed_train.csv", "--models", "POP,BO,GA,MF:4",
+            "--epochs", "5")
+run(*evaluate, "--test", "sim/closed_test.csv", "--methods", "holdout,ips,stratified",
+    "--k", "1,2", "--propensities", "prop.csv", "--out", "closed.jsonl")
+run(*evaluate, "--test", "sim/open_test.csv", "--out", "open.jsonl")
+run("compare", "--reports", "closed.jsonl", "--open-report", "open.jsonl", "--out", "cmp.jsonl")
+run("report", "--report", "closed.jsonl")
+run(*evaluate, "--test", "sim/closed_test.csv", "--baseline", "POP", "--out", "base.jsonl")
+print(json.dumps(loaded))
+"""
+        src = str(Path(recstrata.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, RECSTRATA_ROOT=str(workdir))
+        done = subprocess.run([sys.executable, "-c", script], env=env, cwd=workdir, check=True,
+                              capture_output=True, text=True)
+        loaded = dict(json.loads(done.stdout.splitlines()[-1]))
+        assert list(loaded) == ["import", "simulate", "ingest", "propensity", "stratify",
+                                "evaluate", "compare", "report", "evaluate --baseline"]
+        baseline = loaded.pop("evaluate --baseline")
+        assert loaded == dict.fromkeys(loaded, [])
+        assert "scipy.special" in baseline
+        assert not {"scipy.stats", "scipy.optimize"} & set(baseline)
+
     def test_compare_writes_a_fully_tied_group_and_rejects_a_missing_cutoff(self, workdir,
                                                                                capsys):
         closed = TestCorrelationRows().closed()
