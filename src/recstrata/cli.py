@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import corpus, models, propensity, simulator, strata, workbench
@@ -152,7 +153,8 @@ def cmd_stratify(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as f:
         strata.write_assignment(assignment, table, f)
-    sizes = {s: len(assignment.items_in(s)) for s in range(1, args.k + 1)}
+    counts = Counter(assignment.stratum_of.values())
+    sizes = {s: counts[s] for s in range(1, args.k + 1)}
     print(f"K={args.k} strata sizes {sizes} -> {out}")
     return EXIT_OK
 

@@ -191,6 +191,12 @@ def _add_rows(A: np.ndarray, rows: np.ndarray, V: np.ndarray) -> None:
     np.add.at(A.reshape(-1), (rows[:, None] * k + np.arange(k)).ravel(), V.ravel())
 
 
+def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each of `keys` occurs in the nonempty sorted array `sorted_keys`."""
+    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[at] == keys
+
+
 class MatrixFactorization(_FactorModel):
     """MF: biased matrix factorization trained by SGD on observed ratings."""
 
@@ -240,18 +246,21 @@ class BPR(_FactorModel):
             raise FitError(f"{self.label}: need at least 2 items for negative sampling")
         P, Q = self._init_factors(rng, nu, ni)
         bi = np.zeros(ni)
-        pos_mask = np.zeros((nu, ni), dtype=bool)
-        pos_mask[u, i] = True
+        # the rows come in (user, item) order, so their keys u * ni + i are sorted
+        row_key = u * ni
+        keys = row_key + i
         lr, reg = cfg.learning_rate, cfg.regularization
         n = len(u)
         batch = 1024
         for epoch in range(cfg.epochs):
             perm = rng.permutation(n)
             neg = rng.integers(0, ni, size=n)
-            bad = pos_mask[u, neg]
-            while np.any(bad):
-                neg[bad] = rng.integers(0, ni, size=int(bad.sum()))
-                bad = pos_mask[u, neg]
+            # redraw the negatives that are positives, in row order, until none
+            # is; only a redrawn row can still be one
+            redraw = np.flatnonzero(_member(keys, row_key + neg))
+            while len(redraw):
+                neg[redraw] = rng.integers(0, ni, size=len(redraw))
+                redraw = redraw[_member(keys, row_key[redraw] + neg[redraw])]
             for s in range(0, n, batch):
                 sel = perm[s : s + batch]
                 ub, ib, jb = u[sel], i[sel], neg[sel]
@@ -271,8 +280,16 @@ class BPR(_FactorModel):
 
 
 class WeightedMF(_FactorModel):
-    """WMF: implicit-feedback alternating least squares with confidence
-    1 + alpha * count on observed preferences."""
+    """WMF: implicit-feedback alternating least squares (Hu, Koren & Volinsky,
+    ICDM 2008) with confidence 1 + alpha on observed preferences and 1 elsewhere.
+
+    A half-step holds the other side's factors Y fixed and, for each row with
+    L observed columns Yo, solves (G + alpha Yo^T Yo) x = (1 + alpha) Yo^T 1,
+    where G = Y^T Y + reg I. Rows are solved in batches of equal L. A row with
+    L >= k solves that k x k system. A row with L < k solves the same problem
+    in L x L by the push-through identity: x = (1 + alpha) Zo^T (I + alpha
+    Zo Yo^T)^-1 1, where Z = Y G^-1. A row with no observations is 0.
+    """
 
     def _fit(self, train: Dataset) -> None:
         cfg = self.config
@@ -280,37 +297,49 @@ class WeightedMF(_FactorModel):
         u = train.user_ids
         i = train.item_ids
         nu, ni = len(train.user_index), len(train.item_index)
-        k = cfg.latent_size
         X, Y = self._init_factors(rng, nu, ni)
-        alpha, reg = cfg.confidence_alpha, cfg.regularization
         # each user's items are one slice of the sorted rows; each item's
         # users, in row order, one slice of the rows stably sorted by item
-        items_of = np.split(i, train.user_bounds[1:-1])
         order = np.argsort(i, kind="stable")
-        users_of = np.split(u[order], np.searchsorted(i[order], np.arange(1, ni)))
-
-        eye = np.eye(k)
+        users_by_item = u[order]
+        item_bounds = np.searchsorted(i[order], np.arange(ni + 1))
         for epoch in range(cfg.epochs):
-            X = self._als_half(Y, items_of, alpha, reg, eye)
-            Y = self._als_half(X, users_of, alpha, reg, eye)
+            X = self._als_half(Y, i, train.user_bounds)
+            Y = self._als_half(X, users_by_item, item_bounds)
             self._check_finite((X, Y), epoch)
         self.X_, self.Y_ = X, Y
 
-    @staticmethod
-    def _als_half(other, obs_lists, alpha, reg, eye):
+    def _als_half(self, other: np.ndarray, obs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """One factor row per slice `bounds[r]:bounds[r + 1]` of `obs`, the
+        rows of `other` that row r observed."""
+        alpha, reg = self.config.confidence_alpha, self.config.regularization
         k = other.shape[1]
-        gram = other.T @ other + reg * eye
-        A = np.empty((len(obs_lists), k, k))
-        b = np.empty((len(obs_lists), k))
-        for a, obs in enumerate(obs_lists):
-            if len(obs):
-                Yo = other[obs]
-                A[a] = gram + alpha * (Yo.T @ Yo)
-                b[a] = (1.0 + alpha) * Yo.sum(axis=0)
-            else:
-                A[a] = gram
-                b[a] = 0.0
-        return np.linalg.solve(A, b[..., None])[..., 0]
+        gram = other.T @ other + reg * np.eye(k)
+        counts = np.diff(bounds)
+        out = np.zeros((len(counts), k))
+        Z = None
+        try:
+            for L in np.unique(counts[counts > 0]).tolist():
+                rows = np.flatnonzero(counts == L)
+                cols = obs[bounds[rows, None] + np.arange(L)]
+                Yo = other[cols]
+                if L >= k:
+                    A = gram + alpha * (Yo.transpose(0, 2, 1) @ Yo)
+                    b = (1.0 + alpha) * Yo.sum(axis=1)
+                    out[rows] = np.linalg.solve(A, b[..., None])[..., 0]
+                else:
+                    if Z is None:  # other @ inv(gram), as gram is symmetric
+                        Z = np.linalg.solve(gram, other.T).T
+                    Zo = Z[cols]
+                    M = np.eye(L) + alpha * (Zo @ Yo.transpose(0, 2, 1))
+                    w = np.linalg.solve(M, np.ones((len(rows), L, 1)))
+                    out[rows] = (1.0 + alpha) * (Zo.transpose(0, 2, 1) @ w)[..., 0]
+        except np.linalg.LinAlgError as e:
+            raise FitError(
+                f"{self.label}: singular least-squares system at regularization {reg} "
+                f"({e}); use --regularization > 0"
+            ) from e
+        return out
 
     def _score_uid(self, uid: int) -> np.ndarray:
         return self.X_[uid] @ self.Y_.T

@@ -22,9 +22,6 @@ class StrataAssignment:
     stratum_of: dict[str, int]
     mass: dict[int, float]
 
-    def items_in(self, stratum: int) -> set[str]:
-        return {i for i, s in self.stratum_of.items() if s == stratum}
-
 
 @dataclass(frozen=True)
 class StratumWeights:

@@ -6,6 +6,7 @@ from recstrata.models import (
     ALGORITHMS,
     FitError,
     ModelConfig,
+    WeightedMF,
     fit,
     load_model,
     save_model,
@@ -111,11 +112,26 @@ class TestFactorModels:
         assert scores["a"] == max(scores.values())
 
     def test_determinism(self):
+        # SMALL's rows hold 1 to 3 observations: latent size 2 meets rows on
+        # both sides of it, and latent size 8 is above every row's count
         for alg in ("MF", "BPR", "WMF"):
-            cfg = ModelConfig(alg, latent_size=4, epochs=10, seed=5)
-            s1 = fit(cfg, SMALL).score("u1")
-            s2 = fit(cfg, SMALL).score("u1")
-            assert s1 == s2, alg
+            for k in (2, 4, 8):
+                cfg = ModelConfig(alg, latent_size=k, epochs=10, seed=5)
+                s1 = fit(cfg, SMALL).score("u1")
+                s2 = fit(cfg, SMALL).score("u1")
+                assert s1 == s2, (alg, k)
+
+    def test_bpr_matches_a_dense_mask_reference_bit_for_bit(self):
+        # dense enough that many sampled negatives are positives and are redrawn
+        rng = np.random.default_rng(4)
+        train = make_train([(f"u{a}", f"i{b}", 5) for a in range(9) for b in range(7)
+                            if rng.random() < 0.6])
+        cfg = ModelConfig("BPR", latent_size=3, epochs=20, learning_rate=0.05, seed=8)
+        model = fit(cfg, train)
+        P, Q, bi = dense_mask_bpr(cfg, train)
+        assert model.P_.tobytes() == P.tobytes()
+        assert model.Q_.tobytes() == Q.tobytes()
+        assert model.bi_.tobytes() == bi.tobytes()
 
     def test_row_updates_match_add_at_bit_for_bit(self):
         # many repeated rows, so each element takes a long chain of updates
@@ -127,6 +143,99 @@ class TestFactorModels:
         np.add.at(expected, rows, updates)
         _add_rows(got, rows, updates)
         assert got.tobytes() == expected.tobytes()
+
+
+def dense_mask_bpr(cfg, train):
+    """BPR's fit with a dense n_users x n_items positive mask: the reference
+    for the sorted-key membership test."""
+    rng = np.random.default_rng(cfg.seed)
+    u, i = train.user_ids, train.item_ids
+    nu, ni = len(train.user_index), len(train.item_index)
+    scale = 0.1 / np.sqrt(cfg.latent_size)
+    P = scale * rng.standard_normal((nu, cfg.latent_size))
+    Q = scale * rng.standard_normal((ni, cfg.latent_size))
+    bi = np.zeros(ni)
+    pos_mask = np.zeros((nu, ni), dtype=bool)
+    pos_mask[u, i] = True
+    lr, reg, n = cfg.learning_rate, cfg.regularization, len(u)
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        neg = rng.integers(0, ni, size=n)
+        bad = pos_mask[u, neg]
+        while np.any(bad):
+            neg[bad] = rng.integers(0, ni, size=int(bad.sum()))
+            bad = pos_mask[u, neg]
+        for s in range(0, n, 1024):
+            sel = perm[s : s + 1024]
+            ub, ib, jb = u[sel], i[sel], neg[sel]
+            Pu, Qi, Qj = P[ub], Q[ib], Q[jb]
+            x = bi[ib] - bi[jb] + np.einsum("nk,nk->n", Pu, Qi - Qj)
+            g = 1.0 / (1.0 + np.exp(x))
+            np.add.at(P, ub, lr * (g[:, None] * (Qi - Qj) - reg * Pu))
+            np.add.at(Q, ib, lr * (g[:, None] * Pu - reg * Qi))
+            np.add.at(Q, jb, lr * (-g[:, None] * Pu - reg * Qj))
+            np.add.at(bi, ib, lr * (g - reg * bi[ib]))
+            np.add.at(bi, jb, lr * (-g - reg * bi[jb]))
+    return P, Q, bi
+
+
+def per_row_als_half(other, obs_lists, alpha, reg):
+    """WMF's half-step with one k x k system per row, built in a loop and
+    solved in one batched call: the reference for rows with L >= k."""
+    k = other.shape[1]
+    gram = other.T @ other + reg * np.eye(k)
+    A = np.empty((len(obs_lists), k, k))
+    b = np.empty((len(obs_lists), k))
+    for a, obs in enumerate(obs_lists):
+        if len(obs):
+            Yo = other[obs]
+            A[a] = gram + alpha * (Yo.T @ Yo)
+            b[a] = (1.0 + alpha) * Yo.sum(axis=0)
+        else:
+            A[a] = gram
+            b[a] = 0.0
+    return np.linalg.solve(A, b[..., None])[..., 0]
+
+
+class TestWeightedALSHalf:
+    K = 4
+    # rows observing 0, 2, 3 (< K) and 4, 6 (>= K) columns, two rows per count
+    COUNTS = (0, 2, 4, 3, 6, 0, 2, 3, 6, 4)
+
+    def solve(self, alpha=40.0, reg=0.01):
+        rng = np.random.default_rng(7)
+        other = rng.standard_normal((9, self.K))
+        obs_lists = [np.sort(rng.choice(9, size=c, replace=False)) for c in self.COUNTS]
+        bounds = np.concatenate([[0], np.cumsum(self.COUNTS)])
+        model = WeightedMF(ModelConfig("WMF", latent_size=self.K, confidence_alpha=alpha,
+                                       regularization=reg))
+        got = model._als_half(other, np.concatenate(obs_lists).astype(np.int64), bounds)
+        return other, obs_lists, got
+
+    def test_every_row_solves_its_normal_equations(self):
+        alpha, reg = 40.0, 0.01
+        other, obs_lists, got = self.solve(alpha, reg)
+        gram = other.T @ other + reg * np.eye(self.K)
+        for row, obs in zip(got, obs_lists):
+            if len(obs) == 0:
+                assert not row.any()
+                continue
+            Yo = other[obs]
+            want = np.linalg.solve(gram + alpha * Yo.T @ Yo, (1.0 + alpha) * Yo.sum(axis=0))
+            np.testing.assert_allclose(row, want, rtol=1e-9)
+
+    def test_rows_with_at_least_k_observations_match_the_per_row_loop_bit_for_bit(self):
+        other, obs_lists, got = self.solve()
+        want = per_row_als_half(other, obs_lists, 40.0, 0.01)
+        full = np.array(self.COUNTS) >= self.K
+        assert got[full].tobytes() == want[full].tobytes()
+
+    def test_a_singular_system_names_the_model_and_the_remedy(self):
+        # three columns cannot span a 4-dimensional gram matrix without regularization
+        model = WeightedMF(ModelConfig("WMF", latent_size=4, regularization=0.0))
+        other = np.random.default_rng(0).standard_normal((3, 4))
+        with pytest.raises(FitError, match="WMF4: singular .* --regularization > 0"):
+            model._als_half(other, np.array([0, 1]), np.array([0, 2]))
 
 
 class TestScoring:

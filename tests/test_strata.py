@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -70,7 +72,8 @@ class TestAssignStrata:
         top = max(raw.values())
         scores = {i: v / top for i, v in raw.items()}
         asg = assign_strata(table(scores, counts), 2)
-        assert len(asg.items_in(2)) < len(asg.items_in(1))
+        sizes = Counter(asg.stratum_of.values())
+        assert sizes[2] < sizes[1]
 
 
 class TestStratumWeights:

@@ -299,6 +299,18 @@ class TestCli:
         assert run_cli("simulate", "--config", "bad.json", "--out-dir", "nope") == 1
         assert not (workdir / "nope").exists()
 
+    def test_singular_wmf_system_is_a_numerical_error(self, workdir, capsys):
+        # three items cannot span WMF's 8 x 8 gram matrix without regularization
+        (workdir / "t.csv").write_text("u1,a,5\nu1,b,4\nu2,b,5\nu2,c,5\nu3,a,5\n")
+        assert run_cli(
+            "evaluate", "--train", "t.csv", "--test", "t.csv", "--models", "WMF:8",
+            "--epochs", "2", "--regularization", "0", "--out", "x.jsonl",
+        ) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: WMF8: singular least-squares system")
+        assert "use --regularization > 0" in err
+        assert not (workdir / "x.jsonl").exists()
+
     def test_ips_without_propensities_instructs(self, workdir, capsys):
         assert run_cli("simulate", "--config", "sim.json", "--out-dir", "sim") == 0
         code = run_cli(
